@@ -1,10 +1,13 @@
 #include "tax/tax_tuner.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "tax/block_compressor.h"
 #include "tax/block_hash.h"
@@ -568,6 +571,39 @@ double MeasuredProbe::Measure(TaxKernel kernel, int size_class,
   return best_mbps;
 }
 
+std::vector<MeasuredProbe::OpPair> MeasuredProbe::MeasureOpPairs(
+    TaxKernel kernel, int size_class, const SoftPrefetchConfig& a,
+    const SoftPrefetchConfig& b, TuneRegime regime, int min_pairs,
+    double budget_ms) {
+  Impl::Workload& w = impl_->Get(kernel, size_class, regime);
+  impl_->RunOp(w, kernel, a);  // warm code paths / page-in
+  impl_->RunOp(w, kernel, b);
+  const auto op_mbps = [&](const SoftPrefetchConfig& config) {
+    const auto t0 = std::chrono::steady_clock::now();
+    impl_->RunOp(w, kernel, config);
+    const double elapsed = SecondsSince(t0);
+    return elapsed > 0.0 ? static_cast<double>(w.op_bytes) / (elapsed * 1e6)
+                         : 0.0;
+  };
+  std::vector<OpPair> pairs;
+  double timed_s = 0.0;
+  while (static_cast<int>(pairs.size()) < min_pairs ||
+         timed_s * 1e3 < budget_ms || pairs.size() % 2 == 0) {
+    const auto t0 = std::chrono::steady_clock::now();
+    OpPair pair;
+    if (pairs.size() % 2 == 0) {
+      pair.a_mbps = op_mbps(a);
+      pair.b_mbps = op_mbps(b);
+    } else {
+      pair.b_mbps = op_mbps(b);
+      pair.a_mbps = op_mbps(a);
+    }
+    timed_s += SecondsSince(t0);
+    pairs.push_back(pair);
+  }
+  return pairs;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep logic.
 
@@ -681,18 +717,64 @@ double GeomeanSpeedup(const std::vector<TunedCell>& cells,
   return count > 0 ? std::exp(log_sum / count) : 1.0;
 }
 
-std::vector<TunedParam> SelectTunedParams(const TunerReport& report) {
+std::string DescribeTuningHost() {
+  std::string model = "unknown CPU";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) {
+        continue;
+      }
+      model = colon + 1 + std::strspn(colon + 1, " \t");
+      while (!model.empty() && (model.back() == '\n' || model.back() == ' ')) {
+        model.pop_back();
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
+  long l3_bytes = 0;
+#ifdef _SC_LEVEL3_CACHE_SIZE
+  l3_bytes = sysconf(_SC_LEVEL3_CACHE_SIZE);
+#endif
+  char l3[32];
+  if (l3_bytes > 0) {
+    std::snprintf(l3, sizeof(l3), "%.4g MiB L3",
+                  static_cast<double>(l3_bytes) / (1024.0 * 1024.0));
+  } else {
+    std::snprintf(l3, sizeof(l3), "L3 unknown");
+  }
+  char label[640];
+  std::snprintf(label, sizeof(label), "%s, %ld CPU%s, %s", model.c_str(),
+                cpus > 0 ? cpus : 1L, cpus > 1 ? "s" : "", l3);
+  return label;
+}
+
+std::vector<TunedParam> SelectTunedParams(const TunerReport& report,
+                                          const char* host) {
   std::vector<TunedParam> params;
   for (const TunedCell& cell : report.cells) {
     if (cell.regime != TuneRegime::kHwOffEmulated) continue;
     params.push_back({cell.kernel, cell.size_class, cell.best,
                       static_cast<float>(cell.untuned_mbps),
-                      static_cast<float>(cell.tuned_mbps)});
+                      static_cast<float>(cell.tuned_mbps), host});
   }
   return params;
 }
 
 namespace {
+
+// `text` as the body of a C++ string literal.
+std::string EscapeForLiteral(const char* text) {
+  std::string out;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c == '"' || *c == '\\') out += '\\';
+    out += *c;
+  }
+  return out;
+}
 
 const char* TaxKernelEnumName(TaxKernel kernel) {
   switch (kernel) {
@@ -718,38 +800,63 @@ const char* TaxKernelEnumName(TaxKernel kernel) {
 }  // namespace
 
 std::string EmitTunedParamsCc(const std::vector<TunedParam>& params) {
+  // Distinct row hosts, in order of first appearance.
+  std::vector<std::string> hosts;
+  std::vector<std::size_t> row_host;
+  row_host.reserve(params.size());
+  for (const TunedParam& p : params) {
+    const std::string host =
+        EscapeForLiteral(p.host != nullptr ? p.host : "not recorded");
+    std::size_t h = 0;
+    while (h < hosts.size() && hosts[h] != host) ++h;
+    if (h == hosts.size()) hosts.push_back(host);
+    row_host.push_back(h + 1);
+  }
+
   std::string out;
   out +=
-      "// Generated by `bench_tax_tuner --emit-params`; do not edit by "
-      "hand.\n"
+      "// Rows are rendered by `bench_tax_tuner --emit-params` from a full "
+      "sweep.\n"
+      "// A single row may later be replaced by the same cell measured on "
+      "another\n"
+      "// host, so the table can mix sweeps: each row names the host that "
+      "measured\n"
+      "// it (CPU model, online CPUs, L3 size).\n"
       "// Config columns: {enabled, distance_bytes, degree_bytes, "
       "min_size_bytes,\n"
       "// locality}. Size classes: 1 = small (4K..64K), 2 = medium "
       "(64K..1M),\n"
       "// 3 = large (>= 1M). Throughputs are MB/s in the "
       "hw-prefetchers-off\n"
-      "// (cold, page-scattered) regime on the tuning host; zero means "
-      "the entry\n"
+      "// (cold, page-scattered) regime on the row's host; zero means the "
+      "entry\n"
       "// is hand-seeded from the registry defaults and not yet "
       "measured.\n"
       "#include \"tax/tuned_params.h\"\n\n"
       "#include \"softpf/runtime.h\"\n"
       "#include \"softpf/size_class.h\"\n\n"
       "namespace limoncello {\n\n"
-      "namespace {\n\n"
-      "constexpr TunedParam kTunedParams[] = {\n";
+      "namespace {\n\n";
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    out += "constexpr char kHost" + std::to_string(h + 1) + "[] =\n    \"" +
+           hosts[h] + "\";\n";
+  }
+  if (!hosts.empty()) out += "\n";
+  out += "constexpr TunedParam kTunedParams[] = {\n";
   char line[256];
-  for (const TunedParam& p : params) {
+  for (std::size_t r = 0; r < params.size(); ++r) {
+    const TunedParam& p = params[r];
     std::snprintf(
         line, sizeof(line),
-        "    {TaxKernel::%s, %d, {%s, %u, %u, %llu, %u}, %.1ff, %.1ff},\n",
+        "    {TaxKernel::%s, %d, {%s, %u, %u, %llu, %u}, %.1ff, %.1ff, "
+        "kHost%zu},\n",
         TaxKernelEnumName(p.kernel), p.size_class,
         p.config.enabled ? "true" : "false", p.config.distance_bytes,
         p.config.degree_bytes,
         static_cast<unsigned long long>(p.config.min_size_bytes),
         static_cast<unsigned>(p.config.locality),
         static_cast<double>(p.untuned_mbps),
-        static_cast<double>(p.tuned_mbps));
+        static_cast<double>(p.tuned_mbps), row_host[r]);
     out += line;
   }
   out +=

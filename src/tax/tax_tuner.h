@@ -115,6 +115,23 @@ class MeasuredProbe : public ThroughputProbe {
                  const SoftPrefetchConfig& config,
                  TuneRegime regime) override;
 
+  // Throughput (MB/s) of two adjacent single ops on one cell.
+  struct OpPair {
+    double a_mbps = 0.0;
+    double b_mbps = 0.0;
+  };
+  // Paired measurement for regression gates: alternates single ops of `a`
+  // and `b` on one cell (a b, b a, a b, ...) until there are at least
+  // `min_pairs` pairs and `budget_ms` of timed ops, and always returns an
+  // odd number of pairs. The two ops of a pair run back to back, so host
+  // speed drifting over seconds, or swinging with a neighbour's load,
+  // cancels within the pair; a stall that hits one op spoils one pair.
+  std::vector<OpPair> MeasureOpPairs(TaxKernel kernel, int size_class,
+                                     const SoftPrefetchConfig& a,
+                                     const SoftPrefetchConfig& b,
+                                     TuneRegime regime, int min_pairs,
+                                     double budget_ms);
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -150,7 +167,8 @@ TunedCell SweepCell(ThroughputProbe& probe, TaxKernel kernel, int size_class,
 // default configs taken from `registry`. Cells are ordered kernel-major,
 // then size class, then regime (the order regimes appear in `regimes`).
 // A non-empty `only` restricts the sweep to the listed kernels (dev /
-// triage runs; the committed table always comes from a full sweep).
+// triage runs; `bench_tax_tuner --emit-params` refuses them, because the
+// table it writes must hold every kernel).
 TunerReport RunTunerSweep(ThroughputProbe& probe, const TunerGrid& grid,
                           const std::vector<TuneRegime>& regimes,
                           const PrefetchSiteRegistry& registry,
@@ -160,12 +178,21 @@ TunerReport RunTunerSweep(ThroughputProbe& probe, const TunerGrid& grid,
 double GeomeanSpeedup(const std::vector<TunedCell>& cells,
                       TuneRegime regime);
 
+// The host running this process, as a tuning-host label: CPU model,
+// online CPUs and L3 size, e.g. "Intel(R) Xeon(R) Processor, 4 CPUs,
+// 300 MiB L3".
+std::string DescribeTuningHost();
+
 // The shipping table: hw-off-emulated cells become TunedParams (that is
-// the regime Soft Limoncello actually serves).
-std::vector<TunedParam> SelectTunedParams(const TunerReport& report);
+// the regime Soft Limoncello actually serves). Every row's host is `host`
+// (the label of the host that ran the sweep), which must outlive the
+// returned rows.
+std::vector<TunedParam> SelectTunedParams(const TunerReport& report,
+                                          const char* host);
 
 // Renders a complete tax/tuned_params.cc with the given table (the
-// --emit-params output).
+// --emit-params output). Each distinct row host becomes one named string
+// constant that its rows point at.
 std::string EmitTunedParamsCc(const std::vector<TunedParam>& params);
 
 }  // namespace limoncello

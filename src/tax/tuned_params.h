@@ -6,6 +6,11 @@
 // global SoftPrefetchRuntime on first use, so every adaptive call runs
 // with host-tuned parameters rather than the paper's one-size deployment
 // compromise. Regenerate with `bench_tax_tuner --emit-params`.
+//
+// The best config for a cell depends on the host that measured it, so
+// every row names its tuning host. A row re-measured on another host may
+// replace a single row of an older table; the gate (bench_tax_gate)
+// reports each row's host beside its committed throughput.
 #ifndef LIMONCELLO_TAX_TUNED_PARAMS_H_
 #define LIMONCELLO_TAX_TUNED_PARAMS_H_
 
@@ -25,6 +30,9 @@ struct TunedParam {
   // hardware-prefetchers-off regime (MB/s); zero for hand-seeded entries.
   float untuned_mbps;
   float tuned_mbps;
+  // Host whose sweep measured this row: CPU model, online CPUs, L3 size
+  // (see DescribeTuningHost in tax/tax_tuner.h).
+  const char* host;
 };
 
 // The committed table, in (kernel, size_class) order.

@@ -157,6 +157,11 @@ void ThreadPool::WorkerLoop() {
       });
       if (shutdown_) return;
       seen_generation = job_generation_.load(std::memory_order_relaxed);
+      // ParallelFor closes a job (job_fn_ = nullptr) without bumping the
+      // generation. A worker that arrives after the close must not join:
+      // the next ParallelFor resets the cursor, and this worker would
+      // claim that job's indices with this job's fn and end.
+      if (job_fn_ == nullptr) continue;
       fn = job_fn_;
       end = job_end_;
       grain = job_grain_;
@@ -198,18 +203,19 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
   job_cv_.NotifyAll();
   DrainJob(&fn, end, grain);  // the caller is a lane too
   // The cursor is exhausted; wait for workers still finishing their last
-  // chunk. Spin first — chunks are short — then sleep.
-  const bool idle = SpinUntil(
+  // chunk. Spin first — chunks are short — then sleep. The spin is only a
+  // hint: a worker may join between it and the lock, so the decision that
+  // no worker is left in the job is made under mu_, in the same critical
+  // section that closes the job.
+  (void)SpinUntil(
       [&] {
         return active_workers_.load(std::memory_order_acquire) == 0;
       },
       ResolveSpinBudgetUs());
   MutexLock lock(&mu_);
-  if (!idle) {
-    done_cv_.Wait(&mu_, [&]() LIMONCELLO_REQUIRES(mu_) {
-      return active_workers_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  done_cv_.Wait(&mu_, [&]() LIMONCELLO_REQUIRES(mu_) {
+    return active_workers_.load(std::memory_order_acquire) == 0;
+  });
   job_fn_ = nullptr;
 }
 

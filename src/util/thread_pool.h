@@ -91,20 +91,33 @@ class ThreadPool {
   CondVar done_cv_;  // caller waits for job completion (slow path)
   bool shutdown_ LIMONCELLO_GUARDED_BY(mu_) = false;
 
+  // Join/close protocol. ParallelFor publishes a job under mu_ (job_fn_
+  // set, cursor reset, generation bumped), drains it, then closes it
+  // under mu_: it waits there until active_workers_ is zero and sets
+  // job_fn_ to nullptr in the same critical section. The generation
+  // stays current after the close, so a worker joins only under mu_ and
+  // only while job_fn_ is non-null; a worker that finds the job closed
+  // records the generation and waits for the next one. Every worker that
+  // joined is therefore counted before the close, and none can carry a
+  // closed job's fn or end into the next job's cursor.
+  //
   // Bumped under mu_ per job but also read lock-free: workers spin on it
   // briefly before sleeping on job_cv_, and the caller spins on
-  // active_workers_ before sleeping on done_cv_. The fleet tick loop
-  // issues one job per tick back-to-back, so in steady state both
-  // rendezvous hit the spin fast path and the per-tick barrier costs no
-  // futex sleep/wake round trips.
+  // active_workers_ before taking mu_. Both spins are hints only; every
+  // decision is remade under mu_. The fleet tick loop issues one job per
+  // tick back-to-back, so in steady state both rendezvous hit the spin
+  // fast path and the per-tick barrier costs no futex sleep/wake round
+  // trips.
   std::atomic<std::uint64_t> job_generation_{0};
   // Workers currently inside DrainJob for the published job. Incremented
   // under mu_ (in the same critical section that reads the job
-  // parameters), decremented under mu_ after the drain; the caller may
-  // not return while this is nonzero.
+  // parameters, and only while job_fn_ is non-null), decremented under
+  // mu_ after the drain. The caller closes the job only once it has seen
+  // zero here while holding mu_.
   std::atomic<int> active_workers_{0};
 
-  // Current job (valid while active_workers_ > 0 or cursor not drained).
+  // Current job: non-null from publish until close; nullptr means no
+  // worker may join.
   const std::function<void(std::int64_t)>* job_fn_
       LIMONCELLO_GUARDED_BY(mu_) = nullptr;
   std::int64_t job_end_ LIMONCELLO_GUARDED_BY(mu_) = 0;

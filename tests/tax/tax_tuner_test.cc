@@ -120,7 +120,8 @@ TEST(SelectTunedParamsTest, KeepsOnlyHwOffCellsInOrder) {
   const TunerReport report =
       RunTunerSweep(probe, grid, BothRegimes(),
                     PrefetchSiteRegistry::DeployedDefault());
-  const std::vector<TunedParam> params = SelectTunedParams(report);
+  const std::vector<TunedParam> params =
+      SelectTunedParams(report, "Test CPU, 2 CPUs, 8 MiB L3");
   const int tuned_classes = kNumSizeClasses - kFirstTunedSizeClass;
   EXPECT_EQ(params.size(),
             static_cast<std::size_t>(kNumTaxKernels * tuned_classes));
@@ -140,13 +141,89 @@ TEST(EmitTunedParamsCcTest, RendersACompilableLookingTable) {
   const TunerReport report = RunTunerSweep(
       probe, grid, {TuneRegime::kHwOffEmulated},
       PrefetchSiteRegistry::DeployedDefault());
-  const std::string cc = EmitTunedParamsCc(SelectTunedParams(report));
+  const char* host = "Test CPU, 2 CPUs, 8 MiB L3";
+  const std::string cc = EmitTunedParamsCc(SelectTunedParams(report, host));
   EXPECT_NE(cc.find("tax/tuned_params.h"), std::string::npos);
   EXPECT_NE(cc.find("TaxKernel::kMemcpy"), std::string::npos);
   EXPECT_NE(cc.find("TaxKernel::kHashJoinProbe"), std::string::npos);
   EXPECT_NE(cc.find("TunedParamsBegin"), std::string::npos);
+  // One sweep, one host: a single constant that every row points at.
+  EXPECT_NE(cc.find("constexpr char kHost1[] =\n    \"Test CPU, 2 CPUs, "
+                    "8 MiB L3\";"),
+            std::string::npos);
+  EXPECT_EQ(cc.find("kHost2"), std::string::npos);
+  std::size_t rows = 0;
+  for (std::size_t at = cc.find(", kHost1},"); at != std::string::npos;
+       at = cc.find(", kHost1},", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, SelectTunedParams(report, host).size());
+  // The header no longer claims the whole table came from one sweep.
+  EXPECT_EQ(cc.find("do not edit by hand"), std::string::npos);
+  EXPECT_NE(cc.find("each row names the host"), std::string::npos);
   // Emission must be a pure function of the table.
-  EXPECT_EQ(cc, EmitTunedParamsCc(SelectTunedParams(report)));
+  EXPECT_EQ(cc, EmitTunedParamsCc(SelectTunedParams(report, host)));
+}
+
+TEST(EmitTunedParamsCcTest, RowsFromDifferentHostsKeepTheirOwnHost) {
+  const SoftPrefetchConfig off = SoftPrefetchConfig::Disabled();
+  const std::vector<TunedParam> params = {
+      {TaxKernel::kMemcpy, 1, off, 1.0f, 1.0f, "Old CPU, 1 CPU, L3 unknown"},
+      {TaxKernel::kMemcpy, 2, off, 2.0f, 2.0f, "New \"CPU\", 4 CPUs, 1 MiB L3"},
+      {TaxKernel::kMemcpy, 3, off, 3.0f, 3.0f, "Old CPU, 1 CPU, L3 unknown"},
+      {TaxKernel::kMemset, 1, off, 4.0f, 4.0f, nullptr},
+  };
+  const std::string cc = EmitTunedParamsCc(params);
+  EXPECT_NE(cc.find("kHost1[] =\n    \"Old CPU, 1 CPU, L3 unknown\";"),
+            std::string::npos);
+  EXPECT_NE(cc.find("kHost2[] =\n    \"New \\\"CPU\\\", 4 CPUs, 1 MiB L3\";"),
+            std::string::npos);
+  EXPECT_NE(cc.find("kHost3[] =\n    \"not recorded\";"), std::string::npos);
+  EXPECT_NE(cc.find("1.0f, 1.0f, kHost1},"), std::string::npos);
+  EXPECT_NE(cc.find("2.0f, 2.0f, kHost2},"), std::string::npos);
+  EXPECT_NE(cc.find("3.0f, 3.0f, kHost1},"), std::string::npos);
+  EXPECT_NE(cc.find("4.0f, 4.0f, kHost3},"), std::string::npos);
+}
+
+TEST(DescribeTuningHostTest, NamesModelCpusAndL3) {
+  const std::string host = DescribeTuningHost();
+  EXPECT_FALSE(host.empty());
+  EXPECT_NE(host.find(" CPU"), std::string::npos) << host;
+  EXPECT_NE(host.find("L3"), std::string::npos) << host;
+}
+
+TEST(TunedParamsTest, EveryCommittedRowNamesItsHost) {
+  for (std::size_t i = 0; i < TunedParamsCount(); ++i) {
+    const TunedParam& p = TunedParamsBegin()[i];
+    ASSERT_NE(p.host, nullptr) << "row " << i;
+    EXPECT_NE(std::string(p.host), "") << "row " << i;
+  }
+}
+
+TEST(MeasuredProbeTest, OpPairsAreAnOddCountOfAtLeastTheMinimum) {
+  MeasuredProbeOptions options;
+  options.arena_bytes = std::size_t{8} << 20;
+  MeasuredProbe probe(options);
+  const SoftPrefetchConfig off = SoftPrefetchConfig::Disabled();
+  const SoftPrefetchConfig on = SoftPrefetchConfig::DeployedDefault();
+  for (const int min_pairs : {1, 4, 5}) {
+    const std::vector<MeasuredProbe::OpPair> pairs = probe.MeasureOpPairs(
+        TaxKernel::kMemcpy, kFirstTunedSizeClass, off, on,
+        TuneRegime::kHwOffEmulated, min_pairs, /*budget_ms=*/0.0);
+    EXPECT_EQ(pairs.size(), static_cast<std::size_t>(min_pairs | 1));
+    for (const MeasuredProbe::OpPair& pair : pairs) {
+      EXPECT_GT(pair.a_mbps, 0.0);
+      EXPECT_GT(pair.b_mbps, 0.0);
+    }
+  }
+  // A time budget adds pairs beyond the minimum and still ends odd.
+  const std::size_t timed =
+      probe
+          .MeasureOpPairs(TaxKernel::kMemcpy, kFirstTunedSizeClass, off, on,
+                          TuneRegime::kHwOffEmulated, 1, /*budget_ms=*/5.0)
+          .size();
+  EXPECT_GT(timed, 1u);
+  EXPECT_EQ(timed % 2, 1u);
 }
 
 TEST(GeomeanSpeedupTest, EmptyCellsYieldOne) {

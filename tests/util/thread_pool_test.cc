@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +64,55 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossManyJobs) {
     pool.ParallelFor(0, 10, [&](std::int64_t i) { sum.fetch_add(i); });
   }
   EXPECT_EQ(sum.load(), 100 * 45);
+}
+
+// A worker that joins a job after the caller has decided the job is done
+// could carry that job's fn and end into the next job's cursor. The test
+// above cannot see it: its callables are temporaries at one stack address
+// over one range. Here every job has its own range and its own callable,
+// all kept alive, so a stray call lands on the wrong job's counters and
+// after that job's ParallelFor returned.
+TEST(ThreadPoolTest, BackToBackJobsRunEachIndexOnceAndNeverLate) {
+  constexpr int kJobs = 2000;
+  constexpr std::size_t kMaxIndex = 64;
+  struct Job {
+    std::vector<std::atomic<int>> hits =
+        std::vector<std::atomic<int>>(kMaxIndex);
+    std::atomic<bool> returned{false};
+    std::atomic<int> late_calls{0};
+  };
+  std::vector<Job> jobs(kJobs);
+  std::vector<std::function<void(std::int64_t)>> fns;
+  fns.reserve(kJobs);
+  for (Job& job : jobs) {
+    fns.push_back([&job](std::int64_t i) {
+      if (job.returned.load()) job.late_calls.fetch_add(1);
+      job.hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  }
+  const auto range = [](int j) {
+    const std::int64_t begin = (j * 7) % 23;
+    return std::pair<std::int64_t, std::int64_t>{begin,
+                                                 begin + 9 + (j * 5) % 31};
+  };
+
+  ThreadPool pool(4);
+  for (int j = 0; j < kJobs; ++j) {
+    const auto [begin, end] = range(j);
+    pool.ParallelFor(begin, end, fns[static_cast<std::size_t>(j)]);
+    jobs[static_cast<std::size_t>(j)].returned.store(true);
+  }
+
+  for (int j = 0; j < kJobs; ++j) {
+    const auto [begin, end] = range(j);
+    const Job& job = jobs[static_cast<std::size_t>(j)];
+    EXPECT_EQ(job.late_calls.load(), 0) << "job " << j;
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(kMaxIndex); ++i) {
+      EXPECT_EQ(job.hits[static_cast<std::size_t>(i)].load(),
+                i >= begin && i < end ? 1 : 0)
+          << "job " << j << " index " << i;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelInvokeRunsAllThunks) {
