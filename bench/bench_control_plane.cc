@@ -497,8 +497,20 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
   listener.BindPlane(&plane);
   if (!listener.Start()) return result;
 
+  // Go handshake: the blaster sends the warmup round, then waits for one
+  // byte on this pair before it sends the rest. The counting window thus
+  // opens before the measured rounds leave the child, even when a single
+  // PollOnce could read the whole workload.
+  int go[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, go) != 0) {
+    listener.Stop();
+    (void)::unlink(path);
+    return result;
+  }
   const pid_t child = ::fork();
   if (child < 0) {
+    ::close(go[0]);
+    ::close(go[1]);
     listener.Stop();
     (void)::unlink(path);
     return result;
@@ -507,10 +519,15 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
     // Blaster: the workload bytes are shared copy-on-write and only
     // read; nothing here allocates. The opportunistic drain keeps the
     // child's receive buffer from filling with actuation frames.
+    ::close(go[1]);
     const int fd = ConnectSocket(address);
     if (fd < 0) _exit(3);
     unsigned char sink[4096];
     for (int round = 0; round < w.rounds; ++round) {
+      if (round == 1) {
+        unsigned char byte = 0;
+        if (ReadChunk(go[0], &byte, 1) != 1) _exit(5);
+      }
       for (int e = 0; e < w.endpoints; ++e) {
         if (!SendFully(fd, w.FrameData(round, e), w.FrameSize(round, e))) {
           _exit(4);
@@ -520,6 +537,7 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
     }
     _exit(0);
   }
+  ::close(go[0]);
 
   const std::uint64_t expected_frames =
       static_cast<std::uint64_t>(w.rounds) *
@@ -547,10 +565,15 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
       g_heap_allocs.store(0);
       g_count_allocs.store(true);
       count_start_ns = NowNs();
+      const unsigned char byte = 1;
+      (void)SendFully(go[1], &byte, 1);
     }
   }
   g_count_allocs.store(false);
   const std::uint64_t count_stop_ns = NowNs();
+  // A blaster still waiting for the go byte (deadline hit during warmup)
+  // reads EOF here and exits.
+  ::close(go[1]);
 
   int status = 0;
   (void)::waitpid(child, &status, 0);

@@ -109,7 +109,9 @@ class ControlPlane {
   // Applies a prefetcher state to one endpoint; returns false on
   // actuation failure (the plane arms a capped-exponential retry).
   // Called from drain/tick paths with the owning shard's lock held —
-  // must not call back into the plane.
+  // must not call back into the plane. Drains of different shards may
+  // run concurrently (see DrainShard), so the function must be safe to
+  // call from several threads at once.
   using ActuateFn =
       std::function<bool(std::uint32_t endpoint_id, bool enable)>;
 

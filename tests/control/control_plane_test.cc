@@ -11,6 +11,7 @@
 
 #include "control/telemetry_batch.h"
 #include "core/hysteresis_controller.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -36,12 +37,15 @@ ControlPlaneOptions SmallPlane(int endpoints, int shards = 4) {
   return options;
 }
 
-// Records every actuation; programmable to fail per endpoint.
+// Records every actuation; programmable to fail per endpoint. Drains of
+// different shards may run concurrently and each calls the hook, so the
+// hook serializes on `mu`; tests read the fields only between drains.
 struct FakeFleet {
   struct Call {
     std::uint32_t endpoint_id;
     bool enable;
   };
+  Mutex mu;
   std::vector<Call> calls;
   std::vector<bool> enabled;
   std::vector<bool> faulty;
@@ -52,6 +56,7 @@ struct FakeFleet {
 
   ControlPlane::ActuateFn Hook() {
     return [this](std::uint32_t id, bool enable) {
+      MutexLock lock(&mu);
       calls.push_back({id, enable});
       if (faulty[id]) return false;
       enabled[id] = enable;

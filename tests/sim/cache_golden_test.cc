@@ -8,6 +8,8 @@
 // commit message.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/cache/cache.h"
 #include "util/rng.h"
 
@@ -40,6 +42,11 @@ struct GoldenCase {
   CacheConfig config;
   Cache::Stats expected;
 };
+
+// Prints the case by name. gtest's default would dump the struct's bytes,
+// led by the name pointer that ASLR moves on every run, into failure
+// messages and ctest's test names.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 class CacheGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 

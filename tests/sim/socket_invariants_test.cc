@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "sim/machine/socket.h"
 #include "workloads/function_catalog.h"
@@ -17,6 +18,11 @@ struct Scenario {
   int pattern;  // 0 stream, 1 random, 2 strided, 3 fleet mix, 4 memcpy+sw
   bool prefetchers_on;
 };
+
+// Prints the scenario by name. gtest's default would dump the struct's
+// bytes — the name pointer, which ASLR moves on every run, and the
+// uninitialized padding — into failure messages and ctest's test names.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 class SocketInvariantsTest : public ::testing::TestWithParam<Scenario> {
  protected:
