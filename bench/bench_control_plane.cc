@@ -1,12 +1,11 @@
-// Control-plane ingest throughput, latency, and CI gate
+// Control-plane ingest throughput and CI gate
 // (BENCH_control.json).
 //
 // Sweep mode (default): pre-encodes a deterministic telemetry workload
 // (SimulatedEndpoint fleet, parallel encode), then times the full ingest
 // path — multi-producer pushes into the sharded BoundedControlQueues,
 // parallel per-shard drains through decode, FSM tick, and actuation — at
-// a sweep of thread counts. Reports samples/sec, frames/sec, and the
-// p99 enqueue-to-actuation latency from the plane's own histogram, plus
+// a sweep of thread counts. Reports samples/sec and frames/sec, plus
 // a chaos-transport reconvergence arm (EXPERIMENTS.md table), and emits
 // BENCH_control.json so the numbers can be tracked across PRs.
 //
@@ -229,8 +228,6 @@ struct RunResult {
   double seconds = 0.0;
   double samples_per_sec = 0.0;
   double frames_per_sec = 0.0;
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p99_ns = 0;
   ControlPlane::Stats stats;
   BoundedControlQueue::Counters queue;
   std::vector<EndpointPersistentState> final_states;
@@ -275,9 +272,6 @@ RunResult RunIngest(const Workload& w, const ControlPlaneOptions& options,
   r.stats = plane.SnapshotStats();
   r.queue = plane.SnapshotQueueCounters();
   r.final_states = plane.ExportAllEndpoints();
-  const IngestLatencyHistogram latency = plane.SnapshotLatency();
-  r.p50_ns = latency.ApproxQuantileNs(0.50);
-  r.p99_ns = latency.ApproxQuantileNs(0.99);
   if (r.seconds > 0.0) {
     r.samples_per_sec =
         static_cast<double>(r.stats.samples_accepted.value()) / r.seconds;
@@ -836,12 +830,9 @@ bool WriteJson(const std::string& path, const Workload& w,
     std::fprintf(
         f,
         "    {\"threads\": %d, \"seconds\": %.6f, \"samples_per_sec\": "
-        "%.0f, \"frames_per_sec\": %.0f, \"p50_enqueue_to_actuation_ns\": "
-        "%llu, \"p99_enqueue_to_actuation_ns\": %llu, \"frames_shed\": "
+        "%.0f, \"frames_per_sec\": %.0f, \"frames_shed\": "
         "%llu, \"backpressure_signals\": %llu}%s\n",
         r.threads, r.seconds, r.samples_per_sec, r.frames_per_sec,
-        static_cast<unsigned long long>(r.p50_ns),
-        static_cast<unsigned long long>(r.p99_ns),
         static_cast<unsigned long long>(r.stats.frames_shed.value()),
         static_cast<unsigned long long>(
             r.stats.backpressure_signals.value()),
@@ -928,11 +919,9 @@ int RunGate(const FlagParser& flags) {
     }
   }
   const bool fast_enough = best.samples_per_sec >= kGateSamplesPerSecFloor;
-  std::printf("[%s] serial ingest %.2fM samples/sec (floor %.1fM; p99 "
-              "enqueue-to-actuation %llu ns)\n",
+  std::printf("[%s] serial ingest %.2fM samples/sec (floor %.1fM)\n",
               fast_enough ? "pass" : "FAIL", best.samples_per_sec * 1e-6,
-              kGateSamplesPerSecFloor * 1e-6,
-              static_cast<unsigned long long>(best.p99_ns));
+              kGateSamplesPerSecFloor * 1e-6);
 
   // The same floors, with a process boundary and a real socket in the
   // middle: frames arrive as an arbitrarily-split byte stream through
@@ -1013,12 +1002,11 @@ int Run(const FlagParser& flags) {
                              /*parallel_push=*/t > 1));
   }
   Table table({"threads", "wall(s)", "samples/sec", "frames/sec",
-               "p99 enq->act(ns)", "shed"});
+               "shed"});
   for (const RunResult& r : runs) {
     table.AddRow({Table::Num(static_cast<std::int64_t>(r.threads)),
                   Table::Num(r.seconds, 3), Table::Num(r.samples_per_sec, 0),
                   Table::Num(r.frames_per_sec, 0),
-                  Table::Num(static_cast<std::int64_t>(r.p99_ns)),
                   Table::Num(static_cast<std::int64_t>(
                       r.stats.frames_shed.value()))});
   }

@@ -290,7 +290,7 @@ RecoveryArmResult RunRecoveryArm(bool with_journal, int ticks,
   result.steady_state_allocs = g_heap_allocs.load();
   if (recovery != nullptr) {
     result.journal_appends = recovery->journal().stats().appends;
-    result.journal_compactions = recovery->journal().stats().compactions;
+    result.journal_compactions = recovery->journal().stats().snapshots;
     recovery.reset();
     (void)std::remove(journal_path.c_str());
   }

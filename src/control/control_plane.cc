@@ -1,43 +1,11 @@
 #include "control/control_plane.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "util/check.h"
 #include "util/wire.h"
 
 namespace limoncello {
-
-void IngestLatencyHistogram::Record(std::uint64_t latency_ns) {
-  const int bucket =
-      latency_ns == 0 ? 0 : 63 - std::countl_zero(latency_ns);
-  ++buckets_[static_cast<std::size_t>(bucket)];
-  ++count_;
-}
-
-void IngestLatencyHistogram::Merge(const IngestLatencyHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[static_cast<std::size_t>(i)] +=
-        other.buckets_[static_cast<std::size_t>(i)].value();
-  }
-  count_ += other.count_.value();
-}
-
-std::uint64_t IngestLatencyHistogram::ApproxQuantileNs(double q) const {
-  if (count_.value() == 0) return 0;
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t rank = static_cast<std::uint64_t>(
-      clamped * static_cast<double>(count_.value() - 1));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[static_cast<std::size_t>(i)].value();
-    if (seen > rank) {
-      return i >= 63 ? ~0ULL : (2ULL << i) - 1;  // bucket upper edge
-    }
-  }
-  return ~0ULL;
-}
 
 namespace {
 
@@ -48,6 +16,22 @@ std::uint32_t MixEndpointId(std::uint32_t endpoint_id) {
       (static_cast<std::uint64_t>(endpoint_id) * 0x9E3779B97F4A7C15ULL) >>
       33);
 }
+
+// The plane's actuation hook bound to one endpoint: the PrefetchActuator
+// its controller drives. Built on the stack per call; never allocates.
+class EndpointActuator final : public PrefetchActuator {
+ public:
+  EndpointActuator(const ControlPlane::ActuateFn& actuate,
+                   std::uint32_t endpoint_id)
+      : actuate_(actuate), endpoint_id_(endpoint_id) {}
+
+  bool DisablePrefetchers() override { return actuate_(endpoint_id_, false); }
+  bool EnablePrefetchers() override { return actuate_(endpoint_id_, true); }
+
+ private:
+  const ControlPlane::ActuateFn& actuate_;
+  std::uint32_t endpoint_id_;
+};
 
 }  // namespace
 
@@ -111,41 +95,7 @@ ControlPlane::EndpointState& ControlPlane::StateFor(
   return shard.endpoints[slot_of_[endpoint_id]];
 }
 
-void ControlPlane::ApplyIntent(Shard& shard, EndpointState& endpoint) {
-  if (endpoint.hardware_enabled == endpoint.intent_enabled) {
-    endpoint.retry_pending = false;
-    return;
-  }
-  const bool enable = endpoint.intent_enabled;
-  if (actuate_(endpoint.endpoint_id, enable)) {
-    endpoint.hardware_enabled = enable;
-    endpoint.retry_pending = false;
-    endpoint.retry_delay_ticks = 1;
-    if (enable) {
-      ++shard.stats.enables;
-    } else {
-      ++shard.stats.disables;
-    }
-    endpoint.journal_dirty = true;
-    return;
-  }
-  ++shard.stats.actuation_failures;
-  if (endpoint.retry_pending && endpoint.retry_enable == enable) {
-    // A retry just failed: double the backoff up to the cap.
-    endpoint.retry_delay_ticks =
-        std::min(endpoint.retry_delay_ticks * 2,
-                 options_.config.retry_backoff_cap_ticks);
-  } else {
-    endpoint.retry_delay_ticks = 1;
-  }
-  endpoint.retry_pending = true;
-  endpoint.retry_enable = enable;
-  endpoint.retry_wait_ticks = endpoint.retry_delay_ticks;
-}
-
-void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch,
-                              std::uint64_t enqueue_time_ns,
-                              std::uint64_t now_ns) {
+void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch) {
   if (batch.endpoint_id >=
       static_cast<std::uint32_t>(options_.num_endpoints)) {
     ++shard.stats.unknown_endpoints;
@@ -162,24 +112,13 @@ void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch,
   endpoint.last_sequence = batch.sequence;
   endpoint.have_sequence = true;
   endpoint.last_update_tick = tick_;
-  endpoint.failsafe_active = false;
+  EndpointActuator actuator(actuate_, batch.endpoint_id);
   for (std::uint32_t i = 0; i < batch.num_samples; ++i) {
-    const ControllerAction action =
-        endpoint.controller.Tick(batch.utilization[i]);
     ++shard.stats.samples_accepted;
-    if (action == ControllerAction::kNone) continue;
-    const bool enable = action == ControllerAction::kEnablePrefetchers;
-    if (endpoint.force_active) {
-      // The FSM keeps tracking utilization while forced, but the pin
-      // owns the intent until kClearForce.
-      continue;
+    if (endpoint.controller.OnSample(batch.utilization[i], actuator) !=
+        ControllerAction::kNone) {
+      endpoint.journal_dirty = true;
     }
-    endpoint.intent_enabled = enable;
-    endpoint.journal_dirty = true;
-    ApplyIntent(shard, endpoint);
-  }
-  if (now_ns > enqueue_time_ns) {
-    shard.latency.Record(now_ns - enqueue_time_ns);
   }
 }
 
@@ -191,33 +130,26 @@ void ControlPlane::ApplyCommand(Shard& shard,
     return;
   }
   EndpointState& endpoint = StateFor(shard, command.endpoint_id);
+  EndpointActuator actuator(actuate_, command.endpoint_id);
   switch (command.kind) {
     case CommandKind::kForceEnable:
-      endpoint.force_active = true;
-      endpoint.force_enabled = true;
-      endpoint.intent_enabled = true;
+      endpoint.controller.Force(true, actuator);
       break;
     case CommandKind::kForceDisable:
-      endpoint.force_active = true;
-      endpoint.force_enabled = false;
-      endpoint.intent_enabled = false;
+      endpoint.controller.Force(false, actuator);
       break;
     case CommandKind::kClearForce:
-      endpoint.force_active = false;
-      // Hand intent back to the FSM's current opinion.
-      endpoint.intent_enabled =
-          endpoint.controller.PrefetchersShouldBeEnabled();
+      endpoint.controller.ClearForce(actuator);
       break;
   }
   ++shard.stats.commands_applied;
   endpoint.journal_dirty = true;
-  ApplyIntent(shard, endpoint);
 }
 
 // limolint:hot-path — consumer side: pop, decode, FSM tick, actuate.
 // Bounded stack scratch; zero heap allocation (gated by
 // bench_control_plane --gate).
-int ControlPlane::DrainShard(int shard_index, std::uint64_t now_ns) {
+int ControlPlane::DrainShard(int shard_index, std::uint64_t /*now_ns*/) {
   LIMONCELLO_DCHECK(shard_index >= 0 &&
                     shard_index < options_.num_shards);
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
@@ -238,7 +170,7 @@ int ControlPlane::DrainShard(int shard_index, std::uint64_t now_ns) {
       continue;
     }
     ++shard.stats.frames_decoded;
-    ApplyBatch(shard, batch, message.enqueue_time_ns, now_ns);
+    ApplyBatch(shard, batch);
   }
   return consumed;
 }
@@ -252,67 +184,44 @@ int ControlPlane::DrainAll(std::uint64_t now_ns) {
 }
 
 void ControlPlane::AdvanceTick() {
-  ++tick_;
-  const std::uint64_t stale_after =
-      static_cast<std::uint64_t>(options_.config.max_missed_samples);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(&shard.mu);
     for (EndpointState& endpoint : shard.endpoints) {
-      // Retry countdown first: a due retry may fix the hardware before
-      // the staleness check piles a fail-safe on top.
-      if (endpoint.retry_pending) {
-        if (endpoint.retry_wait_ticks > 0) {
-          --endpoint.retry_wait_ticks;
-          ++shard.stats.retry_backoff_skips;
-        }
-        if (endpoint.retry_wait_ticks == 0) {
-          ApplyIntent(shard, endpoint);
-        }
-      }
-      // Staleness fail-safe: an endpoint the plane has not heard from
-      // for max_missed_samples ticks gets the hardware default back —
-      // prefetchers ON — and a reset FSM, exactly like the single-
-      // socket daemon's missing-telemetry path. Operator-forced
-      // endpoints are exempt: a force pin is an explicit decision, not
-      // a decision starved of data.
-      if (!endpoint.force_active && !endpoint.failsafe_active &&
-          tick_ - endpoint.last_update_tick > stale_after) {
-        endpoint.failsafe_active = true;
-        endpoint.controller.Reset();
-        endpoint.intent_enabled = true;
-        // Forget the sequence watermark along with the FSM: a silent
-        // endpoint that comes back is usually a restarted exporter
-        // whose sequence numbers begin again at 1, and holding the old
-        // watermark would reject every frame it ever sends. Stale
-        // replays of the *previous* incarnation are already absorbed —
-        // the fail-safe has reset the FSM to the state a fresh stream
-        // would rebuild anyway.
+      EndpointActuator actuator(actuate_, endpoint.endpoint_id);
+      // Close tick_: no batch accepted in it is a missed tick.
+      if (endpoint.last_update_tick != tick_ &&
+          endpoint.controller.OnMissedTick(actuator)) {
+        // The fail-safe fired. Forget the sequence watermark along with
+        // the FSM: a silent endpoint that comes back is usually a
+        // restarted exporter whose sequence numbers begin again at 1,
+        // and holding the old watermark would reject every frame it ever
+        // sends. Stale replays of the *previous* incarnation are already
+        // absorbed — the fail-safe has reset the FSM to the state a
+        // fresh stream would rebuild anyway.
         endpoint.have_sequence = false;
         endpoint.last_sequence = 0;
         endpoint.journal_dirty = true;
-        ++shard.stats.stale_endpoint_failsafes;
-        ApplyIntent(shard, endpoint);
       }
+      // Open the next tick: a due retry fires.
+      endpoint.controller.BeginTick(actuator);
     }
   }
+  ++tick_;
 }
 
 EndpointPersistentState ControlPlane::ExportEndpoint(
     std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  const EndpointState& endpoint = StateFor(shard, endpoint_id);
+  const EndpointState endpoint = CopyEndpoint(endpoint_id);
+  const EndpointController::State state = endpoint.controller.ExportState();
   EndpointPersistentState record;
   record.endpoint_id = endpoint_id;
-  record.controller_state = endpoint.controller.state();
-  record.timer_ns = endpoint.controller.timer_ns();
-  record.toggle_count = endpoint.controller.toggle_count();
-  record.intent_enabled = endpoint.intent_enabled;
-  record.force_active = endpoint.force_active;
-  record.force_enabled = endpoint.force_enabled;
+  record.controller_state = state.controller_state;
+  record.timer_ns = state.timer_ns;
+  record.toggle_count = state.toggle_count;
+  record.intent_enabled = state.intent_enabled;
+  record.force_active = state.force_active;
+  record.force_enabled = state.force_enabled;
   record.last_sequence = endpoint.last_sequence;
   record.have_sequence = endpoint.have_sequence;
   record.last_update_tick = endpoint.last_update_tick;
@@ -357,34 +266,27 @@ int ControlPlane::RestoreEndpoints(
         *shards_[static_cast<std::size_t>(ShardOf(record.endpoint_id))];
     MutexLock lock(&shard.mu);
     EndpointState& endpoint = StateFor(shard, record.endpoint_id);
-    // The FSM validates its own snapshot (enum range, timer inside the
-    // sustain window); a violation leaves this endpoint cold-started.
-    if (!endpoint.controller.RestoreState(record.controller_state,
-                                          record.timer_ns,
-                                          record.toggle_count)) {
-      continue;
-    }
-    // A forced record must pin the same intent it claims.
-    if (record.force_active &&
-        record.force_enabled != record.intent_enabled) {
-      endpoint.controller.Reset();
-      continue;
-    }
-    endpoint.intent_enabled = record.intent_enabled;
-    endpoint.force_active = record.force_active;
-    endpoint.force_enabled = record.force_enabled;
+    // The record carries the FSM, intent and pin; the retry state and
+    // counters keep their live values. Restart resets the staleness
+    // clock: the endpoint gets a full window to be heard from before the
+    // fail-safe fires.
+    EndpointController::State state = endpoint.controller.ExportState();
+    state.controller_state = record.controller_state;
+    state.timer_ns = record.timer_ns;
+    state.toggle_count = record.toggle_count;
+    state.intent_enabled = record.intent_enabled;
+    state.force_active = record.force_active;
+    state.force_enabled = record.force_enabled;
+    state.consecutive_missed = 0;
+    if (!endpoint.controller.RestoreState(state)) continue;
     endpoint.last_sequence = record.last_sequence;
     endpoint.have_sequence = record.have_sequence;
-    // Restart resets the staleness clock: the endpoint gets a full
-    // window to be heard from before the fail-safe fires.
     endpoint.last_update_tick = tick_;
-    endpoint.failsafe_active = false;
-    ++shard.stats.warm_restores;
     ++adopted;
     // Journal intent wins over whatever the hardware drifted to while
     // the plane was down: re-assert unconditionally.
-    endpoint.hardware_enabled = !endpoint.intent_enabled;
-    ApplyIntent(shard, endpoint);
+    EndpointActuator actuator(actuate_, record.endpoint_id);
+    (void)endpoint.controller.Reassert(actuator);
   }
   return adopted;
 }
@@ -408,23 +310,16 @@ ControlPlane::Stats ControlPlane::SnapshotStats() {
     total.sequence_rejects += s.sequence_rejects.value();
     total.unknown_endpoints += s.unknown_endpoints.value();
     total.samples_accepted += s.samples_accepted.value();
-    total.disables += s.disables.value();
-    total.enables += s.enables.value();
-    total.actuation_failures += s.actuation_failures.value();
-    total.retry_backoff_skips += s.retry_backoff_skips.value();
-    total.stale_endpoint_failsafes += s.stale_endpoint_failsafes.value();
     total.commands_applied += s.commands_applied.value();
-    total.warm_restores += s.warm_restores.value();
-  }
-  return total;
-}
-
-IngestLatencyHistogram ControlPlane::SnapshotLatency() {
-  IngestLatencyHistogram total;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(&shard.mu);
-    total.Merge(shard.latency);
+    for (const EndpointState& endpoint : shard.endpoints) {
+      const EndpointController::Stats& c = endpoint.controller.stats();
+      total.disables += c.disables.value();
+      total.enables += c.enables.value();
+      total.actuation_failures += c.actuation_failures.value();
+      total.retry_backoff_skips += c.retry_backoff_skips.value();
+      total.stale_endpoint_failsafes += c.failsafe_resets.value();
+      total.warm_restores += c.warm_restores.value();
+    }
   }
   return total;
 }
@@ -446,37 +341,30 @@ BoundedControlQueue::Counters ControlPlane::SnapshotQueueCounters() {
   return total;
 }
 
-bool ControlPlane::EndpointIntentEnabled(std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).intent_enabled;
-}
-
-ControllerState ControlPlane::EndpointControllerState(
+ControlPlane::EndpointState ControlPlane::CopyEndpoint(
     std::uint32_t endpoint_id) {
   LIMONCELLO_CHECK(endpoint_id <
                    static_cast<std::uint32_t>(options_.num_endpoints));
   Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
   MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).controller.state();
+  return StateFor(shard, endpoint_id);
+}
+
+bool ControlPlane::EndpointIntentEnabled(std::uint32_t endpoint_id) {
+  return CopyEndpoint(endpoint_id).controller.intent_enabled();
+}
+
+ControllerState ControlPlane::EndpointControllerState(
+    std::uint32_t endpoint_id) {
+  return CopyEndpoint(endpoint_id).controller.fsm().state();
 }
 
 bool ControlPlane::EndpointInFailsafe(std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).failsafe_active;
+  return CopyEndpoint(endpoint_id).controller.failsafe_active();
 }
 
 bool ControlPlane::EndpointForced(std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).force_active;
+  return CopyEndpoint(endpoint_id).controller.forced();
 }
 
 }  // namespace limoncello

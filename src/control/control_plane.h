@@ -1,10 +1,9 @@
 // Sharded fleet control plane: one daemon, many endpoints.
 //
-// The single-socket LimoncelloDaemon (core/daemon.h) runs one hysteresis
-// FSM against one telemetry source. The ControlPlane scales that design
-// sideways: one process ingests telemetry batches from N endpoints over
-// a CRC-framed wire format, runs an independent hysteresis FSM per
-// endpoint, and actuates each endpoint's prefetchers through a caller-
+// One process ingests telemetry batches from N endpoints over a
+// CRC-framed wire format and runs one EndpointController per endpoint
+// (core/endpoint_controller.h, the per-endpoint core LimoncelloDaemon
+// runs too), actuating each endpoint's prefetchers through a caller-
 // supplied hook.
 //
 // Architecture (DESIGN.md §15):
@@ -21,19 +20,18 @@
 //     independently, so drains parallelize across a ThreadPool with no
 //     shared mutable state.
 //   * Everything a shard needs is preallocated at construction: the
-//     queue rings, the endpoint table, the latency histogram. The
-//     steady-state ingest + drain path performs zero heap allocations
-//     (bench_control_plane --gate audits this with an operator-new
-//     probe).
+//     queue rings and the endpoint table. The steady-state ingest + drain
+//     path performs zero heap allocations (bench_control_plane --gate
+//     audits this with an operator-new probe).
 //
 // Trust boundary: frames arrive as untrusted bytes. DecodeTelemetryBatch
 // enforces framing, CRC, version, bounds, and sample plausibility;
 // the plane then enforces per-endpoint sequence monotonicity, so
 // duplicated, stale, reordered, or replayed frames are rejected and
 // counted rather than double-applied. The transport may lose frames
-// (and the queue may shed them); the per-endpoint staleness timer turns
-// prolonged silence into the paper's fail-safe — prefetchers forced
-// back ON, FSM reset.
+// (and the queue may shed them); a tick in which an endpoint had no
+// batch accepted is a missed tick for its controller, whose fail-safe
+// turns prolonged silence into prefetchers forced back ON.
 //
 // Determinism: given the same frame sequence pushed per shard in the
 // same order, drains produce bit-identical endpoint state and counters
@@ -42,7 +40,6 @@
 #ifndef LIMONCELLO_CONTROL_CONTROL_PLANE_H_
 #define LIMONCELLO_CONTROL_CONTROL_PLANE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,7 +49,7 @@
 #include "control/bounded_queue.h"
 #include "control/telemetry_batch.h"
 #include "core/controller_config.h"
-#include "core/hysteresis_controller.h"
+#include "core/endpoint_controller.h"
 #include "stats/saturating.h"
 #include "util/mutex.h"
 
@@ -77,26 +74,6 @@ struct EndpointPersistentState {
   bool operator==(const EndpointPersistentState&) const = default;
 };
 
-// Fixed-size log2-bucketed latency histogram: 64 saturating buckets,
-// bucket i counting values in [2^i, 2^(i+1)) ns. Preallocated, merge-
-// able, quantile-queryable — everything the enqueue-to-actuation p99
-// needs without touching the heap on the record path.
-class IngestLatencyHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(std::uint64_t latency_ns);
-  void Merge(const IngestLatencyHistogram& other);
-
-  std::uint64_t count() const { return count_; }
-  // Upper edge of the bucket containing quantile q (0 when empty).
-  std::uint64_t ApproxQuantileNs(double q) const;
-
- private:
-  std::array<SatCounter, kBuckets> buckets_{};
-  SatCounter count_;
-};
-
 struct ControlPlaneOptions {
   int num_endpoints = 1;
   int num_shards = 4;
@@ -107,7 +84,7 @@ struct ControlPlaneOptions {
 class ControlPlane {
  public:
   // Applies a prefetcher state to one endpoint; returns false on
-  // actuation failure (the plane arms a capped-exponential retry).
+  // actuation failure (the endpoint's controller arms its retry).
   // Called from drain/tick paths with the owning shard's lock held —
   // must not call back into the plane. Drains of different shards may
   // run concurrently (see DrainShard), so the function must be safe to
@@ -131,12 +108,13 @@ class ControlPlane {
     SatCounter sequence_rejects;      // duplicate or stale frame replays
     SatCounter unknown_endpoints;     // valid frame, id out of range
     SatCounter samples_accepted;
-    // Control decisions.
-    SatCounter disables;
-    SatCounter enables;
+    // Control decisions, summed over the endpoint controllers
+    // (EndpointController::Stats).
+    SatCounter disables;              // attempts, failed ones included
+    SatCounter enables;               // attempts, failed ones included
     SatCounter actuation_failures;
     SatCounter retry_backoff_skips;   // ticks spent waiting to retry
-    SatCounter stale_endpoint_failsafes;
+    SatCounter stale_endpoint_failsafes;  // controller fail-safes
     SatCounter commands_applied;
     SatCounter warm_restores;         // endpoints adopted from a journal
 
@@ -164,21 +142,22 @@ class ControlPlane {
   // --- Drain (consumer side, one caller per shard at a time) -------
 
   // Drains one shard's queue to empty: decodes frames, applies
-  // commands, advances the per-endpoint FSMs, actuates toggles.
-  // `now_ns` stamps the enqueue-to-actuation latency histogram.
-  // Returns the number of messages consumed. Safe to call for
-  // different shards concurrently.
+  // commands, feeds each accepted sample to its endpoint's controller.
+  // `now_ns` is the drain time (not read yet; kept for per-stage
+  // latency stamps). Returns the number of messages consumed. Safe to
+  // call for different shards concurrently.
   int DrainShard(int shard, std::uint64_t now_ns);
 
   // Serial convenience: drains every shard in shard order.
   int DrainAll(std::uint64_t now_ns);
 
-  // Advances the plane's tick: per-endpoint staleness sweep (silence
-  // past max_missed_samples ticks forces prefetchers ON and resets the
-  // FSM — the paper's fail-safe) and actuation-retry backoff countdown.
-  // Call once per tick period, after draining. Not concurrent with
-  // drains: the control loop is drain phase → tick phase (drains may
-  // parallelize across shards *within* the drain phase).
+  // Advances the plane's tick. For every endpoint it first closes the
+  // current tick (no batch accepted in it is a missed tick for the
+  // controller, whose fail-safe may fire and make the plane forget the
+  // sequence watermark), then opens the next one (a due actuation
+  // retry). Call once per tick period, after draining. Not concurrent
+  // with drains: the control loop is drain phase → tick phase (drains
+  // may parallelize across shards *within* the drain phase).
   void AdvanceTick();
 
   // --- Warm restart ------------------------------------------------
@@ -194,7 +173,7 @@ class ControlPlane {
   void CollectDirtyEndpoints(std::vector<EndpointPersistentState>* out);
 
   // Adopts journal-recovered endpoint records. Each record is validated
-  // (id in range, FSM invariants via HysteresisController::RestoreState,
+  // (id in range, then EndpointController::RestoreState: FSM invariants,
   // force/intent consistency); invalid records are skipped — that
   // endpoint cold-starts. For every adopted record the restored intent
   // is re-asserted through the actuator: the journal holds decisions
@@ -206,7 +185,6 @@ class ControlPlane {
   // --- Observation -------------------------------------------------
 
   Stats SnapshotStats();
-  IngestLatencyHistogram SnapshotLatency();
   // Queue counters summed over shards (shard order).
   BoundedControlQueue::Counters SnapshotQueueCounters();
 
@@ -225,21 +203,14 @@ class ControlPlane {
     explicit EndpointState(const ControllerConfig& config)
         : controller(config) {}
 
-    HysteresisController controller;
+    EndpointController controller;
     std::uint32_t endpoint_id = 0;
-    bool intent_enabled = true;    // what the plane wants
-    bool hardware_enabled = true;  // what the last successful actuation set
-    bool force_active = false;
-    bool force_enabled = true;
-    bool failsafe_active = false;
+    // The plane's own input checks: the sequence watermark, and the
+    // tick of the last accepted batch (construction and restore count
+    // as heard, so a fresh endpoint gets a full window).
     std::uint64_t last_sequence = 0;
     bool have_sequence = false;
     std::uint64_t last_update_tick = 0;
-    // Capped-exponential actuation retry (mirrors core/daemon.cc).
-    bool retry_pending = false;
-    bool retry_enable = true;
-    int retry_delay_ticks = 1;
-    int retry_wait_ticks = 0;
     bool journal_dirty = false;
   };
 
@@ -249,27 +220,25 @@ class ControlPlane {
     BoundedControlQueue queue;
     Mutex mu;
     std::vector<EndpointState> endpoints LIMONCELLO_GUARDED_BY(mu);
+    // Ingest, decode and command counters; the controller counters live
+    // in the endpoints' controllers.
     Stats stats LIMONCELLO_GUARDED_BY(mu);
-    IngestLatencyHistogram latency LIMONCELLO_GUARDED_BY(mu);
 
     explicit Shard(const BoundedControlQueue::Options& queue_options)
         : queue(queue_options) {}
   };
 
   // Drain helpers; all require the shard's lock.
-  void ApplyBatch(Shard& shard, const TelemetryBatch& batch,
-                  std::uint64_t enqueue_time_ns, std::uint64_t now_ns)
+  void ApplyBatch(Shard& shard, const TelemetryBatch& batch)
       LIMONCELLO_REQUIRES(shard.mu);
   void ApplyCommand(Shard& shard, const ControlCommand& command)
-      LIMONCELLO_REQUIRES(shard.mu);
-  // Moves the hardware toward `endpoint.intent_enabled`; on actuation
-  // failure arms/retains the backoff retry. Counts toggles.
-  void ApplyIntent(Shard& shard, EndpointState& endpoint)
       LIMONCELLO_REQUIRES(shard.mu);
 
   // endpoint_id must be < num_endpoints (checked).
   EndpointState& StateFor(Shard& shard, std::uint32_t endpoint_id)
       LIMONCELLO_REQUIRES(shard.mu);
+  // A copy taken under the shard's lock, for the observation accessors.
+  EndpointState CopyEndpoint(std::uint32_t endpoint_id);
 
   ControlPlaneOptions options_;
   ActuateFn actuate_;

@@ -1,6 +1,5 @@
 #include "core/daemon.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -34,59 +33,30 @@ const char* ReconcileStatusName(ReconcileStatus status) {
 LimoncelloDaemon::LimoncelloDaemon(const ControllerConfig& config,
                                    UtilizationSource* telemetry,
                                    PrefetchActuator* actuator)
-    : config_(config),
-      telemetry_(telemetry),
+    : telemetry_(telemetry),
       actuator_(actuator),
-      controller_(config) {
+      core_(config) {
   LIMONCELLO_CHECK(telemetry != nullptr);
   LIMONCELLO_CHECK(actuator != nullptr);
 }
 
-bool LimoncelloDaemon::Actuate(ControllerAction action) {
-  bool ok = true;
-  switch (action) {
-    case ControllerAction::kNone:
-      return true;
-    case ControllerAction::kDisablePrefetchers:
-      ++stats_.disables;
-      ok = actuator_->DisablePrefetchers();
-      if (ok && state_listener_) state_listener_(false);
-      return ok;
-    case ControllerAction::kEnablePrefetchers:
-      ++stats_.enables;
-      ok = actuator_->EnablePrefetchers();
-      if (ok && state_listener_) state_listener_(true);
-      return ok;
-  }
-  LIMONCELLO_CHECK(false);
-  return false;
+bool LimoncelloDaemon::DisablePrefetchers() {
+  const bool ok = actuator_->DisablePrefetchers();
+  if (ok && state_listener_) state_listener_(false);
+  return ok;
 }
 
-void LimoncelloDaemon::ArmRetry(ControllerAction action) {
-  ++stats_.actuation_failures;
-  pending_retry_ = action;
-  retry_delay_ticks_ = 1;
-  retry_wait_ticks_ = 0;  // first retry on the very next tick
+bool LimoncelloDaemon::EnablePrefetchers() {
+  const bool ok = actuator_->EnablePrefetchers();
+  if (ok && state_listener_) state_listener_(true);
+  return ok;
 }
 
-void LimoncelloDaemon::TickPendingRetry() {
-  if (pending_retry_ == ControllerAction::kNone) return;
-  if (retry_wait_ticks_ > 0) {
-    --retry_wait_ticks_;
-    ++stats_.retry_backoff_skips;
-    return;
-  }
-  if (Actuate(pending_retry_)) {
-    pending_retry_ = ControllerAction::kNone;
-    retry_delay_ticks_ = 1;
-    return;
-  }
-  // Still failing: back off exponentially up to the cap so a persistent
-  // fault does not turn every tick into an MSR write storm.
-  ++stats_.actuation_failures;
-  retry_delay_ticks_ =
-      std::min(retry_delay_ticks_ * 2, config_.retry_backoff_cap_ticks);
-  retry_wait_ticks_ = retry_delay_ticks_ - 1;
+LimoncelloDaemon::Stats LimoncelloDaemon::stats() const {
+  Stats stats;
+  static_cast<EndpointController::Stats&>(stats) = core_.stats();
+  static_cast<InputStats&>(stats) = input_stats_;
+  return stats;
 }
 
 std::optional<double> LimoncelloDaemon::ValidateSample(
@@ -100,7 +70,7 @@ std::optional<double> LimoncelloDaemon::ValidateSample(
   }
   if (!std::isfinite(*sample) || *sample < 0.0 ||
       *sample > kMaxPlausibleUtilization) {
-    ++stats_.invalid_samples;
+    ++input_stats_.invalid_samples;
     return std::nullopt;
   }
   // Frozen-exporter detection: real utilization telemetry always
@@ -111,8 +81,8 @@ std::optional<double> LimoncelloDaemon::ValidateSample(
   static_assert(sizeof(bits) == sizeof(double));
   std::memcpy(&bits, &*sample, sizeof(bits));
   if (have_last_sample_ && bits == last_sample_bits_) {
-    if (++stale_run_ >= config_.max_stale_samples) {
-      ++stats_.stale_samples;
+    if (++stale_run_ >= config().max_stale_samples) {
+      ++input_stats_.stale_samples;
       return std::nullopt;
     }
   } else {
@@ -124,174 +94,107 @@ std::optional<double> LimoncelloDaemon::ValidateSample(
 }
 
 void LimoncelloDaemon::MaybeReadback() {
-  if (config_.readback_period_ticks <= 0) return;
-  if (pending_retry_ != ControllerAction::kNone) return;  // already known
-  if (stats_.ticks %
-          static_cast<std::uint64_t>(config_.readback_period_ticks) !=
+  if (config().readback_period_ticks <= 0) return;
+  if (core_.retry_pending()) return;  // already known
+  if (core_.stats().ticks %
+          static_cast<std::uint64_t>(config().readback_period_ticks) !=
       0) {
     return;
   }
-  const bool want = controller_.PrefetchersShouldBeEnabled();
-  const std::optional<bool> matches = actuator_->StateMatches(want);
+  const std::optional<bool> matches =
+      actuator_->StateMatches(core_.intent_enabled());
   if (!matches.has_value() || *matches) return;
   // The hardware lost our state (most likely a reboot restored the BIOS
-  // default): re-assert the FSM's intent.
-  ++stats_.reboots_detected;
-  const ControllerAction reassert =
-      want ? ControllerAction::kEnablePrefetchers
-           : ControllerAction::kDisablePrefetchers;
-  if (Actuate(reassert)) {
-    ++stats_.state_reasserts;
-  } else {
-    ArmRetry(reassert);
-  }
+  // default): re-assert the intent.
+  ++input_stats_.reboots_detected;
+  if (core_.Reassert(*this)) ++input_stats_.state_reasserts;
 }
 
 LimoncelloDaemon::PersistentState LimoncelloDaemon::ExportState() const {
+  const EndpointController::State core = core_.ExportState();
   PersistentState state;
-  state.controller_state = controller_.state();
-  state.timer_ns = controller_.timer_ns();
-  state.toggle_count = controller_.toggle_count();
-  state.pending_retry = pending_retry_;
-  state.retry_delay_ticks = retry_delay_ticks_;
-  state.retry_wait_ticks = retry_wait_ticks_;
-  state.consecutive_missed = consecutive_missed_;
+  state.controller_state = core.controller_state;
+  state.timer_ns = core.timer_ns;
+  state.toggle_count = core.toggle_count;
+  state.pending_retry = core.pending_retry;
+  state.retry_delay_ticks = core.retry_delay_ticks;
+  state.retry_wait_ticks = core.retry_wait_ticks;
+  state.consecutive_missed = core.consecutive_missed;
   state.last_sample_bits = last_sample_bits_;
   state.have_last_sample = have_last_sample_;
   state.stale_run = stale_run_;
-  state.stats = stats_;
+  state.stats = stats();
   return state;
 }
 
-bool LimoncelloDaemon::StateRestorable(const PersistentState& state) const {
-  switch (state.pending_retry) {
-    case ControllerAction::kNone:
-    case ControllerAction::kDisablePrefetchers:
-    case ControllerAction::kEnablePrefetchers:
-      break;
-    default:
-      return false;  // decoded from disk; may be any bit pattern
-  }
-  if (state.retry_delay_ticks < 1 ||
-      state.retry_delay_ticks > config_.retry_backoff_cap_ticks) {
-    return false;
-  }
-  // The wait countdown is always armed below the current delay step.
-  if (state.retry_wait_ticks < 0 ||
-      state.retry_wait_ticks >= state.retry_delay_ticks) {
-    return false;
-  }
-  // consecutive_missed_ resets the instant it reaches the trip point, so
-  // a persisted value at or past it is impossible. stale_run_ by contrast
-  // keeps counting through a long freeze — only its sign is constrained.
-  if (state.consecutive_missed < 0 ||
-      state.consecutive_missed >= config_.max_missed_samples) {
-    return false;
-  }
-  if (state.stale_run < 0) return false;
-  return true;
-}
-
 bool LimoncelloDaemon::RestoreState(const PersistentState& state) {
-  if (!StateRestorable(state)) return false;
-  // Controller last: its RestoreState mutates on success, so every other
-  // field must already have been vetted.
-  if (!controller_.RestoreState(state.controller_state, state.timer_ns,
-                                state.toggle_count)) {
-    return false;
-  }
-  pending_retry_ = state.pending_retry;
-  retry_delay_ticks_ = state.retry_delay_ticks;
-  retry_wait_ticks_ = state.retry_wait_ticks;
-  consecutive_missed_ = state.consecutive_missed;
+  // stale_run keeps counting through a long freeze; only its sign is
+  // constrained.
+  if (state.stale_run < 0) return false;
+  // The daemon never pins, so its intent is the FSM's opinion.
+  EndpointController::State core;
+  core.controller_state = state.controller_state;
+  core.timer_ns = state.timer_ns;
+  core.toggle_count = state.toggle_count;
+  core.intent_enabled =
+      state.controller_state == ControllerState::kEnabledSteady ||
+      state.controller_state == ControllerState::kEnabledArming;
+  core.pending_retry = state.pending_retry;
+  core.retry_delay_ticks = state.retry_delay_ticks;
+  core.retry_wait_ticks = state.retry_wait_ticks;
+  core.consecutive_missed = state.consecutive_missed;
+  core.stats = state.stats;
+  if (!core_.RestoreState(core)) return false;
   last_sample_bits_ = state.last_sample_bits;
   have_last_sample_ = state.have_last_sample;
   stale_run_ = state.stale_run;
-  stats_ = state.stats;
-  ++stats_.warm_restores;
-  if (state_listener_) {
-    state_listener_(controller_.PrefetchersShouldBeEnabled());
-  }
+  input_stats_ = state.stats;
+  if (state_listener_) state_listener_(core_.intent_enabled());
   return true;
 }
 
 ReconcileStatus LimoncelloDaemon::ReconcileHardwareState() {
-  const bool want = controller_.PrefetchersShouldBeEnabled();
-  const std::optional<bool> matches = actuator_->StateMatches(want);
+  const std::optional<bool> matches =
+      actuator_->StateMatches(core_.intent_enabled());
   if (!matches.has_value()) return ReconcileStatus::kUnknown;
   if (*matches) return ReconcileStatus::kMatched;
-  ++stats_.recovery_reconciles;
-  const ControllerAction reassert =
-      want ? ControllerAction::kEnablePrefetchers
-           : ControllerAction::kDisablePrefetchers;
-  if (Actuate(reassert)) {
-    // A successful re-assert supersedes any restored pending retry.
-    pending_retry_ = ControllerAction::kNone;
-    retry_delay_ticks_ = 1;
-    return ReconcileStatus::kReasserted;
-  }
-  ArmRetry(reassert);
-  return ReconcileStatus::kRetryArmed;
+  ++input_stats_.recovery_reconciles;
+  // A successful re-assert supersedes any restored pending retry.
+  return core_.Reassert(*this) ? ReconcileStatus::kReasserted
+                               : ReconcileStatus::kRetryArmed;
 }
 
 LimoncelloDaemon::TickRecord LimoncelloDaemon::RunTick(SimTimeNs now_ns) {
   TickRecord record;
   record.time_ns = now_ns;
-  ++stats_.ticks;
-
   // Retry a previously failed actuation before anything else so the
-  // hardware state converges to the FSM's view.
-  TickPendingRetry();
+  // hardware state converges to the intent.
+  core_.BeginTick(*this);
 
   const std::optional<double> sample =
       ValidateSample(telemetry_->SampleUtilization());
   if (!sample.has_value()) {
-    ++stats_.missed_samples;
-    ++consecutive_missed_;
-    if (consecutive_missed_ >= config_.max_missed_samples) {
-      // Fail safe: force the hardware default (prefetchers enabled).
-      consecutive_missed_ = 0;
-      ++stats_.failsafe_resets;
-      if (!controller_.PrefetchersShouldBeEnabled() ||
-          pending_retry_ != ControllerAction::kNone) {
-        if (Actuate(ControllerAction::kEnablePrefetchers)) {
-          pending_retry_ = ControllerAction::kNone;
-          retry_delay_ticks_ = 1;
-        } else {
-          ArmRetry(ControllerAction::kEnablePrefetchers);
-        }
-      }
-      controller_.Reset();
-    }
+    (void)core_.OnMissedTick(*this);
     record.sample_ok = false;
-    record.state = controller_.state();
+    record.state = core_.fsm().state();
     if (trace_recording_) {
-      state_trace_.Add(
-          now_ns, controller_.PrefetchersShouldBeEnabled() ? 1.0 : 0.0);
+      state_trace_.Add(now_ns, core_.intent_enabled() ? 1.0 : 0.0);
     }
     return record;
   }
 
-  consecutive_missed_ = 0;
   record.sample_ok = true;
   record.utilization = *sample;
-  record.action = controller_.Tick(*sample);
-  record.state = controller_.state();
+  record.action = core_.OnSample(*sample, *this);
+  record.state = core_.fsm().state();
+  // A decision's actuation either succeeded or armed a retry.
   if (record.action != ControllerAction::kNone) {
-    record.actuation_ok = Actuate(record.action);
-    if (record.actuation_ok) {
-      // A fresh successful actuation supersedes any backed-off retry.
-      pending_retry_ = ControllerAction::kNone;
-      retry_delay_ticks_ = 1;
-    } else {
-      ArmRetry(record.action);
-    }
+    record.actuation_ok = !core_.retry_pending();
   }
   MaybeReadback();
   if (trace_recording_) {
     utilization_trace_.Add(now_ns, *sample);
-    state_trace_.Add(now_ns,
-                     controller_.PrefetchersShouldBeEnabled() ? 1.0 : 0.0);
+    state_trace_.Add(now_ns, core_.intent_enabled() ? 1.0 : 0.0);
   }
   return record;
 }

@@ -1,31 +1,30 @@
-// The Limoncello controller daemon: telemetry → FSM → actuation.
+// The Limoncello controller daemon: one socket's telemetry → FSM →
+// actuation.
 //
-// One daemon instance manages one socket. Each tick (1 s in production) it
-// samples memory-bandwidth utilization, advances the hysteresis FSM, and
-// applies any resulting prefetcher toggle via the actuator.
-//
-// Robustness behaviour (beyond the paper's happy path, but required for a
-// deployable daemon — exercised by the fault injector in src/faults/):
-//   * Missing/invalid telemetry: non-finite, negative, or implausibly
-//     large samples are rejected; after max_missed_samples consecutive
-//     failures the daemon fails safe — prefetchers are forced back on
-//     (the hardware default) and the FSM resets.
-//   * Stale telemetry: a sample bit-identical to the previous one
-//     max_stale_samples times in a row is treated as a frozen exporter
-//     and rejected (feeding the same fail-safe path).
-//   * Failed actuation (core offline, MSR write error): the intent is
-//     remembered and retried with capped exponential backoff until it
-//     succeeds.
-//   * Silent state loss (reboot to BIOS default): every
-//     readback_period_ticks the hardware state is read back through the
-//     actuator and the FSM's intent re-asserted on mismatch.
+// The decision logic lives in an EndpointController (the per-endpoint
+// core every ControlPlane endpoint runs too): the hysteresis FSM, the
+// committed intent, capped-exponential actuation retry, and the
+// missed-tick fail-safe that forces prefetchers back on. Each tick (1 s in
+// production) the daemon feeds it, and adds what only a daemon with its
+// own telemetry source and MSRs has:
+//   * Sample validation: non-finite, negative, or implausibly large
+//     samples are rejected, and a sample bit-identical to the previous
+//     one max_stale_samples times in a row is treated as a frozen
+//     exporter. Either way the tick counts as missed and feeds the
+//     controller's fail-safe.
+//   * MSR readback (silent state loss, e.g. a reboot to the BIOS
+//     default): every readback_period_ticks the hardware state is read
+//     back through the actuator and the intent re-asserted on mismatch.
+//   * The state listener (Soft Limoncello) and the Fig. 9 traces.
 #ifndef LIMONCELLO_CORE_DAEMON_H_
 #define LIMONCELLO_CORE_DAEMON_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 
 #include "core/actuator.h"
-#include "core/hysteresis_controller.h"
+#include "core/endpoint_controller.h"
 #include "stats/saturating.h"
 #include "stats/time_series.h"
 #include "telemetry/telemetry.h"
@@ -43,7 +42,9 @@ enum class ReconcileStatus {
 
 const char* ReconcileStatusName(ReconcileStatus status);
 
-class LimoncelloDaemon {
+// Private PrefetchActuator: the controller actuates through the daemon,
+// which forwards to the real actuator and tells the state listener.
+class LimoncelloDaemon : private PrefetchActuator {
  public:
   struct TickRecord {
     SimTimeNs time_ns = 0;
@@ -54,31 +55,27 @@ class LimoncelloDaemon {
     bool actuation_ok = true;
   };
 
-  // Counters saturate at 2^64-1 instead of silently wrapping: a pinned
-  // max value in a fleet dashboard is a visible anomaly, a wrapped small
-  // value is a plausible lie (stats/saturating.h).
-  struct Stats {
-    SatCounter ticks;
-    SatCounter missed_samples;
-    SatCounter invalid_samples;  // non-finite / out of range
-    SatCounter stale_samples;    // frozen-exporter rejections
-    SatCounter failsafe_resets;
-    SatCounter actuation_failures;
-    SatCounter retry_backoff_skips;  // ticks spent waiting to retry
+  // Counters of the daemon's own input checks.
+  struct InputStats {
+    SatCounter invalid_samples;      // non-finite / out of range
+    SatCounter stale_samples;        // frozen-exporter rejections
     SatCounter reboots_detected;     // readback mismatches
     SatCounter state_reasserts;      // successful re-assertions
-    SatCounter disables;
-    SatCounter enables;
-    SatCounter warm_restores;        // journal snapshots adopted
     SatCounter recovery_reconciles;  // restored intent != hardware
 
+    bool operator==(const InputStats&) const = default;
+  };
+
+  // The controller's counters plus the daemon's own.
+  struct Stats : EndpointController::Stats, InputStats {
     bool operator==(const Stats&) const = default;
   };
 
   // Everything a warm restart must carry across a daemon process death:
   // the FSM, the actuation-retry machinery, the sample-validation state,
-  // and the cumulative Stats. Plain data; src/recovery/ serializes it.
-  // Restored values are validated field by field, never trusted.
+  // and the cumulative Stats (the LMJ1 journal record). Plain data;
+  // src/recovery/ serializes it. Restored values are validated field by
+  // field, never trusted.
   struct PersistentState {
     ControllerState controller_state = ControllerState::kEnabledSteady;
     SimTimeNs timer_ns = 0;
@@ -106,16 +103,15 @@ class LimoncelloDaemon {
   // RecoveryManager after actuations and periodically).
   PersistentState ExportState() const;
 
-  // Adopts a recovered snapshot. Every field is validated against the
-  // config's invariants (enum ranges, backoff <= cap, counters below
-  // their trip points); on any violation the daemon is left in its
-  // cold-start state and false is returned — corrupt journals degrade
-  // to a cold start, never to a daemon running impossible state.
-  // On success the state listener (if any) is told the restored intent.
+  // Adopts a recovered snapshot through EndpointController::RestoreState
+  // (which validates every controller field) after vetting the sample-
+  // validation fields; on any violation the daemon is left in its
+  // cold-start state and false is returned. On success the state
+  // listener (if any) is told the restored intent.
   bool RestoreState(const PersistentState& state);
 
   // Warm-restart reconciliation: reads the hardware prefetcher state
-  // back through the actuator and compares it with the FSM's (possibly
+  // back through the actuator and compares it with the (possibly
   // just-restored) intent. The journal holds *intent* distilled from
   // telemetry history, so on mismatch the hardware is moved to match
   // the journal, not vice versa (see DESIGN.md §11); a failed re-assert
@@ -130,8 +126,10 @@ class LimoncelloDaemon {
     state_listener_ = std::move(listener);
   }
 
-  const HysteresisController& controller() const { return controller_; }
-  const Stats& stats() const { return stats_; }
+  const HysteresisController& controller() const {
+    return core_.fsm();
+  }
+  Stats stats() const;
 
   // 1 = prefetchers commanded on, 0 = commanded off (for Fig. 9 traces).
   const TimeSeries& state_trace() const { return state_trace_; }
@@ -144,11 +142,9 @@ class LimoncelloDaemon {
   void set_trace_recording(bool enabled) { trace_recording_ = enabled; }
 
  private:
-  bool Actuate(ControllerAction action);
-  // Runs the pending-retry state machine (backoff countdown + retry).
-  void TickPendingRetry();
-  // Records a fresh actuation failure and arms the first retry.
-  void ArmRetry(ControllerAction action);
+  [[nodiscard]] bool DisablePrefetchers() override;
+  [[nodiscard]] bool EnablePrefetchers() override;
+
   // Sample validation: non-finite/out-of-range and frozen-exporter
   // rejection. Returns nullopt (and bumps the matching counter) when the
   // sample must be treated as missed.
@@ -156,20 +152,12 @@ class LimoncelloDaemon {
   // Periodic MSR readback: detect a silently reset state and re-assert.
   void MaybeReadback();
 
-  // Validation helper for RestoreState: true when every field of the
-  // snapshot satisfies this daemon's config invariants.
-  bool StateRestorable(const PersistentState& state) const;
+  const ControllerConfig& config() const { return core_.fsm().config(); }
 
-  ControllerConfig config_;
   UtilizationSource* telemetry_;
   PrefetchActuator* actuator_;
-  HysteresisController controller_;
-  Stats stats_;
-  int consecutive_missed_ = 0;
-  // Pending actuation that previously failed and must be retried.
-  ControllerAction pending_retry_ = ControllerAction::kNone;
-  int retry_delay_ticks_ = 1;  // current backoff step
-  int retry_wait_ticks_ = 0;   // ticks left before the next attempt
+  EndpointController core_;
+  InputStats input_stats_;
   // Stale-sample detection: bit pattern of the last accepted sample and
   // the length of the current identical run.
   std::uint64_t last_sample_bits_ = 0;

@@ -4,23 +4,15 @@
 
 namespace limoncello {
 
-namespace {
-
-StateJournal::Options JournalOptions(const RecoveryOptions& options) {
-  StateJournal::Options jopts;
-  jopts.path = options.state_file;
-  jopts.compact_every_appends = options.compact_every_appends;
-  jopts.fsync_each_append = options.fsync_each_append;
-  return jopts;
-}
-
-}  // namespace
-
 RecoveryManager::RecoveryManager(const RecoveryOptions& options,
                                  LimoncelloDaemon* daemon)
-    : options_(options), daemon_(daemon), journal_(JournalOptions(options)) {
+    : options_(options),
+      daemon_(daemon),
+      journal_({.path = options.state_file,
+                .fsync_each_append = options.fsync_each_append}) {
   LIMONCELLO_CHECK(daemon != nullptr);
   LIMONCELLO_CHECK_GE(options.snapshot_period_ticks, 1);
+  LIMONCELLO_CHECK_GE(options.compact_every_appends, 1);
 }
 
 RecoveryResult RecoveryManager::RecoverAndReconcile() {
@@ -44,11 +36,18 @@ void RecoveryManager::OnTickComplete(
   const std::uint64_t period =
       static_cast<std::uint64_t>(options_.snapshot_period_ticks);
   if (!actuated && daemon_->stats().ticks % period != 0) return;
-  (void)journal_.Append(daemon_->ExportState());
+  if (appends_since_snapshot_ >= options_.compact_every_appends) {
+    // Compaction folds the newest state in: the snapshot IS the record.
+    (void)FlushSnapshot();
+    return;
+  }
+  if (journal_.Append(daemon_->ExportState())) ++appends_since_snapshot_;
 }
 
 bool RecoveryManager::FlushSnapshot() {
-  return journal_.WriteSnapshot(daemon_->ExportState());
+  if (!journal_.WriteSnapshot(daemon_->ExportState())) return false;
+  appends_since_snapshot_ = 0;
+  return true;
 }
 
 EndpointRecoveryResult RecoverEndpointStates(const std::string& path,

@@ -14,7 +14,10 @@
 //             and on every snapshot_period_ticks-th tick; every other
 //             tick returns without touching the journal or the heap,
 //             keeping persistence off the steady-state hot path
-//             (bench_socket's recovery arm gates this).
+//             (bench_socket's recovery arm gates this). After
+//             compact_every_appends appends the next journaled state is
+//             written as a snapshot instead, folding the journal down to
+//             one record (bounds file size and replay time).
 //   shutdown  FlushSnapshot(): compact the journal to a single atomic
 //             snapshot of the current state (the SIGTERM path).
 #ifndef LIMONCELLO_RECOVERY_RECOVERY_MANAGER_H_
@@ -31,6 +34,8 @@ struct RecoveryOptions {
   // Quiet-tick journal cadence: bounds how stale a recovered snapshot
   // can be. Actuation ticks always journal regardless.
   int snapshot_period_ticks = 8;
+  // Rewrite the journal down to one record every this many appends.
+  // Must be >= 1.
   int compact_every_appends = 64;
   bool fsync_each_append = false;
 };
@@ -69,6 +74,7 @@ class RecoveryManager {
   RecoveryOptions options_;
   LimoncelloDaemon* daemon_;
   StateJournal journal_;
+  int appends_since_snapshot_ = 0;
   RecoveryResult last_recovery_;
 };
 

@@ -3,11 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <unordered_map>
-#include <vector>
+#include <map>
 
 #include "util/check.h"
 #include "util/posix_io.h"
@@ -24,11 +21,163 @@ constexpr std::uint32_t kMaxPayloadBytes = 4096;
 
 }  // namespace
 
+// --- Shared framing and file discipline ----------------------------------
+
+JournalFile::JournalFile(const Format& format, const Options& options)
+    : format_(format), options_(options), tmp_path_(options.path + ".tmp") {
+  LIMONCELLO_CHECK(!options.path.empty());
+}
+
+JournalFile::~JournalFile() { CloseAppendFd(); }
+
+void JournalFile::Frame(const Format& format, unsigned char* record) {
+  StoreU32(record, format.magic);
+  StoreU32(record + 4, format.version);
+  StoreU32(record + 8, static_cast<std::uint32_t>(format.payload_bytes));
+  const std::uint32_t crc = Crc32(record + 4, 8 + format.payload_bytes);
+  StoreU32(record + kHeaderBytes + format.payload_bytes, crc);
+}
+
+bool JournalFile::EnsureOpenForAppend() {
+  if (fd_ >= 0) return true;
+  // One open per journal lifetime (or per snapshot); the descriptor is
+  // cached across appends.
+  fd_ = ::open(  // limolint:allow(hot-path-blocking)
+      options_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+      0644);
+  return fd_ >= 0;
+}
+
+void JournalFile::CloseAppendFd() {
+  if (fd_ >= 0) {
+    (void)::close(fd_);
+    fd_ = -1;
+  }
+}
+
+// limolint:hot-path — the journaled persistence path runs on every daemon
+// tick; it must stay allocation-free (the designed ::write/::fsync pair is
+// the one blocking exception, annotated at the call sites).
+bool JournalFile::AppendRecord(const unsigned char* record) {
+  if (!EnsureOpenForAppend()) {
+    ++stats_.io_errors;
+    return false;
+  }
+  if (!WriteFully(fd_, record, RecordBytes(format_))) {
+    ++stats_.io_errors;
+    return false;
+  }
+  // The designed durability point: an append is not an append until it
+  // is on stable storage.
+  if (options_.fsync_each_append &&
+      ::fsync(fd_) != 0) {  // limolint:allow(hot-path-blocking)
+    ++stats_.io_errors;
+    return false;
+  }
+  ++stats_.appends;
+  return true;
+}
+
+// limolint:cold-path — a snapshot (compaction or shutdown flush) is a
+// designed heavyweight rarity whose tmp+fsync+rename dance is the
+// crash-safety mechanism itself.
+bool JournalFile::WriteRecords(const unsigned char* records,
+                               std::size_t count) {
+  // The rename below replaces the journal's inode; a kept-open append
+  // descriptor would keep writing to the orphaned old file.
+  CloseAppendFd();
+  const int fd = ::open(tmp_path_.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    ++stats_.io_errors;
+    return false;
+  }
+  bool ok = WriteFully(fd, records, count * RecordBytes(format_));
+  // fsync before rename: the atomicity argument needs the new contents
+  // durable before the new name points at them.
+  ok = ::fsync(fd) == 0 && ok;
+  ok = ::close(fd) == 0 && ok;
+  if (ok) {
+    ok = std::rename(tmp_path_.c_str(), options_.path.c_str()) == 0;
+  }
+  if (!ok) {
+    ++stats_.io_errors;
+    return false;
+  }
+  ++stats_.snapshots;
+  return true;
+}
+
+JournalScan JournalFile::Scan(
+    const std::string& path, const Format& format,
+    const std::function<bool(const unsigned char* payload)>& decode) {
+  JournalScan scan;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return scan;  // no file: plain cold start
+  scan.file_found = true;
+  std::vector<unsigned char> data;
+  unsigned char chunk[4096];
+  for (;;) {
+    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
+    if (n < 0) {
+      ++scan.corrupt_records;  // unreadable counts as corrupt
+      (void)::close(fd);
+      return scan;
+    }
+    if (n == 0) break;
+    data.insert(data.end(), chunk, chunk + n);
+  }
+  (void)::close(fd);
+
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const std::size_t remaining = data.size() - off;
+    if (remaining < kHeaderBytes) {
+      ++scan.torn_records;
+      break;
+    }
+    if (LoadU32(&data[off]) != format.magic) {
+      ++scan.corrupt_records;
+      break;
+    }
+    const std::uint32_t version = LoadU32(&data[off + 4]);
+    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
+    if (payload_size > kMaxPayloadBytes) {
+      ++scan.corrupt_records;
+      break;
+    }
+    if (remaining < kHeaderBytes + payload_size + 4) {
+      ++scan.torn_records;
+      break;
+    }
+    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
+    if (crc != LoadU32(&data[off + kHeaderBytes + payload_size])) {
+      // Framing beyond a checksum failure cannot be trusted: stop and
+      // keep whatever was valid before it.
+      ++scan.corrupt_records;
+      break;
+    }
+    if (version != format.version || payload_size != format.payload_bytes) {
+      // Intact record from another binary version: skip it, keep
+      // scanning — framing is still sound.
+      ++scan.version_mismatches;
+      off += kHeaderBytes + payload_size + 4;
+      continue;
+    }
+    if (!decode(&data[off + kHeaderBytes])) {
+      ++scan.corrupt_records;
+      break;
+    }
+    ++scan.valid_records;
+    off += RecordBytes(format);
+  }
+  return scan;
+}
+
+// --- LMJ1: the daemon's PersistentState -----------------------------------
+
 void StateJournal::EncodeRecord(
     const LimoncelloDaemon::PersistentState& state, unsigned char* out) {
-  StoreU32(out, kMagic);
-  StoreU32(out + 4, kVersion);
-  StoreU32(out + 8, static_cast<std::uint32_t>(kPayloadBytes));
   unsigned char* p = out + kHeaderBytes;
   p[0] = static_cast<unsigned char>(state.controller_state);
   p[1] = static_cast<unsigned char>(state.pending_retry);
@@ -53,10 +202,7 @@ void StateJournal::EncodeRecord(
   for (std::size_t i = 0; i < 13; ++i) {
     StoreU64(p + 44 + 8 * i, stats_fields[i]);
   }
-  // The CRC covers version + size + payload; the magic is the frame
-  // sync, not data.
-  const std::uint32_t crc = Crc32(out + 4, 8 + kPayloadBytes);
-  StoreU32(out + kHeaderBytes + kPayloadBytes, crc);
+  Frame(kFormat, out);
 }
 
 bool StateJournal::DecodePayload(const unsigned char* p,
@@ -86,163 +232,36 @@ bool StateJournal::DecodePayload(const unsigned char* p,
 }
 
 StateJournal::StateJournal(const Options& options)
-    : options_(options), tmp_path_(options.path + ".tmp") {
-  LIMONCELLO_CHECK(!options.path.empty());
-  LIMONCELLO_CHECK_GE(options.compact_every_appends, 1);
-}
+    : JournalFile(kFormat, options) {}
 
-StateJournal::~StateJournal() { CloseAppendFd(); }
-
-bool StateJournal::EnsureOpenForAppend() {
-  if (fd_ >= 0) return true;
-  // One open per journal lifetime (or per compaction); the descriptor
-  // is cached across appends.
-  fd_ = ::open(  // limolint:allow(hot-path-blocking)
-      options_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-      0644);
-  return fd_ >= 0;
-}
-
-void StateJournal::CloseAppendFd() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
-}
-
-// limolint:hot-path — the journaled persistence path runs on every daemon
-// tick; it must stay allocation-free (the designed ::write/::fsync pair is
-// the one blocking exception, annotated at the call sites).
-bool StateJournal::Append(
-    const LimoncelloDaemon::PersistentState& state) {
-  if (appends_since_compaction_ >= options_.compact_every_appends) {
-    // Compaction folds the newest state in: the snapshot IS the record.
-    return WriteSnapshot(state);
-  }
-  if (!EnsureOpenForAppend()) {
-    ++stats_.io_errors;
-    return false;
-  }
+// limolint:hot-path — runs after every journaled daemon tick.
+bool StateJournal::Append(const LimoncelloDaemon::PersistentState& state) {
   EncodeRecord(state, scratch_.data());
-  if (!WriteFully(fd_, scratch_.data(), kRecordBytes)) {
-    ++stats_.io_errors;
-    return false;
-  }
-  // The designed durability point: an append is not an append until it
-  // is on stable storage.
-  if (options_.fsync_each_append &&
-      ::fsync(fd_) != 0) {  // limolint:allow(hot-path-blocking)
-    ++stats_.io_errors;
-    return false;
-  }
-  ++stats_.appends;
-  ++appends_since_compaction_;
-  return true;
+  return AppendRecord(scratch_.data());
 }
 
-// limolint:cold-path — compaction: one snapshot per compact_every_appends
-// appends (or shutdown), a designed heavyweight rarity whose tmp+fsync+
-// rename dance is the crash-safety mechanism itself.
 bool StateJournal::WriteSnapshot(
     const LimoncelloDaemon::PersistentState& state) {
-  // The rename below replaces the journal's inode; a kept-open append
-  // descriptor would keep writing to the orphaned old file.
-  CloseAppendFd();
   EncodeRecord(state, scratch_.data());
-  const int fd = ::open(tmp_path_.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    ++stats_.io_errors;
-    return false;
-  }
-  bool ok = WriteFully(fd, scratch_.data(), kRecordBytes);
-  // fsync before rename: the atomicity argument needs the new contents
-  // durable before the new name points at them.
-  ok = ::fsync(fd) == 0 && ok;
-  ok = ::close(fd) == 0 && ok;
-  if (ok) {
-    ok = std::rename(tmp_path_.c_str(), options_.path.c_str()) == 0;
-  }
-  if (!ok) {
-    ++stats_.io_errors;
-    return false;
-  }
-  ++stats_.compactions;
-  appends_since_compaction_ = 0;
-  return true;
+  return WriteRecords(scratch_.data(), 1);
 }
 
 JournalReplay StateJournal::Replay(const std::string& path) {
   JournalReplay replay;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return replay;  // no file: plain cold start
-  replay.file_found = true;
-  std::vector<unsigned char> data;
-  unsigned char chunk[4096];
-  for (;;) {
-    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      ++replay.corrupt_records;  // unreadable counts as corrupt
-      (void)::close(fd);
-      return replay;
-    }
-    if (n == 0) break;
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  (void)::close(fd);
-
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t remaining = data.size() - off;
-    if (remaining < kHeaderBytes) {
-      ++replay.torn_records;
-      break;
-    }
-    if (LoadU32(&data[off]) != kMagic) {
-      ++replay.corrupt_records;
-      break;
-    }
-    const std::uint32_t version = LoadU32(&data[off + 4]);
-    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
-    if (payload_size > kMaxPayloadBytes) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (remaining < kHeaderBytes + payload_size + 4) {
-      ++replay.torn_records;
-      break;
-    }
-    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
-    if (crc != LoadU32(&data[off + kHeaderBytes + payload_size])) {
-      // Framing beyond a checksum failure cannot be trusted: stop and
-      // keep whatever was valid before it.
-      ++replay.corrupt_records;
-      break;
-    }
-    if (version != kVersion || payload_size != kPayloadBytes) {
-      // Intact record from another binary version: skip it, keep
-      // scanning — framing is still sound.
-      ++replay.version_mismatches;
-      off += kHeaderBytes + payload_size + 4;
-      continue;
-    }
-    LimoncelloDaemon::PersistentState state;
-    if (!StateJournal::DecodePayload(&data[off + kHeaderBytes], &state)) {
-      ++replay.corrupt_records;
-      break;
-    }
-    replay.state = state;
-    ++replay.valid_records;
-    off += kRecordBytes;
-  }
+  static_cast<JournalScan&>(replay) =
+      Scan(path, kFormat, [&replay](const unsigned char* payload) {
+        LimoncelloDaemon::PersistentState state;
+        if (!DecodePayload(payload, &state)) return false;
+        replay.state = state;
+        return true;
+      });
   return replay;
 }
 
+// --- LEJ1: one control-plane endpoint per record --------------------------
+
 void EndpointStateJournal::EncodeRecord(
     const EndpointPersistentState& state, unsigned char* out) {
-  StoreU32(out, kMagic);
-  StoreU32(out + 4, kVersion);
-  StoreU32(out + 8, static_cast<std::uint32_t>(kPayloadBytes));
   unsigned char* p = out + kHeaderBytes;
   StoreU32(p, state.endpoint_id);
   StoreU32(p + 4, static_cast<std::uint32_t>(state.controller_state));
@@ -256,8 +275,7 @@ void EndpointStateJournal::EncodeRecord(
   StoreU32(p + 24, flags);
   StoreU64(p + 28, state.last_sequence);
   StoreU64(p + 36, state.last_update_tick);
-  const std::uint32_t crc = Crc32(out + 4, 8 + kPayloadBytes);
-  StoreU32(out + kHeaderBytes + kPayloadBytes, crc);
+  Frame(kFormat, out);
 }
 
 bool EndpointStateJournal::DecodePayload(const unsigned char* p,
@@ -278,151 +296,38 @@ bool EndpointStateJournal::DecodePayload(const unsigned char* p,
 }
 
 EndpointStateJournal::EndpointStateJournal(const Options& options)
-    : options_(options), tmp_path_(options.path + ".tmp") {
-  LIMONCELLO_CHECK(!options.path.empty());
-}
+    : JournalFile(kFormat, options) {}
 
-EndpointStateJournal::~EndpointStateJournal() { CloseAppendFd(); }
-
-bool EndpointStateJournal::EnsureOpenForAppend() {
-  if (fd_ >= 0) return true;
-  fd_ = ::open(  // limolint:allow(hot-path-blocking)
-      options_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-      0644);
-  return fd_ >= 0;
-}
-
-void EndpointStateJournal::CloseAppendFd() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
-}
-
+// limolint:hot-path — runs for every dirty endpoint on every plane tick.
 bool EndpointStateJournal::Append(const EndpointPersistentState& state) {
-  if (!EnsureOpenForAppend()) {
-    ++stats_.io_errors;
-    return false;
-  }
   EncodeRecord(state, scratch_.data());
-  if (!WriteFully(fd_, scratch_.data(), kRecordBytes)) {
-    ++stats_.io_errors;
-    return false;
-  }
-  if (options_.fsync_each_append && ::fsync(fd_) != 0) {
-    ++stats_.io_errors;
-    return false;
-  }
-  ++stats_.appends;
-  return true;
+  return AppendRecord(scratch_.data());
 }
 
-// limolint:cold-path — caller-driven compaction on the snapshot cadence;
-// the tmp+fsync+rename dance is the crash-safety mechanism itself.
+// limolint:cold-path — caller-driven compaction on the snapshot cadence.
 bool EndpointStateJournal::WriteSnapshot(
     const std::vector<EndpointPersistentState>& states) {
-  // The rename replaces the journal's inode; a kept-open append
-  // descriptor would keep writing to the orphaned old file.
-  CloseAppendFd();
-  const int fd = ::open(tmp_path_.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    ++stats_.io_errors;
-    return false;
+  std::vector<unsigned char> records(states.size() * kRecordBytes);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EncodeRecord(states[i], records.data() + i * kRecordBytes);
   }
-  bool ok = true;
-  for (const EndpointPersistentState& state : states) {
-    EncodeRecord(state, scratch_.data());
-    if (!WriteFully(fd, scratch_.data(), kRecordBytes)) {
-      ok = false;
-      break;
-    }
-  }
-  // fsync before rename: the atomicity argument needs the new contents
-  // durable before the new name points at them.
-  ok = ::fsync(fd) == 0 && ok;
-  ok = ::close(fd) == 0 && ok;
-  if (ok) {
-    ok = std::rename(tmp_path_.c_str(), options_.path.c_str()) == 0;
-  }
-  if (!ok) {
-    ++stats_.io_errors;
-    return false;
-  }
-  ++stats_.snapshots;
-  return true;
+  return WriteRecords(records.data(), states.size());
 }
 
-EndpointJournalReplay EndpointStateJournal::Replay(
-    const std::string& path) {
-  EndpointJournalReplay replay;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return replay;  // no file: plain cold start
-  replay.file_found = true;
-  std::vector<unsigned char> data;
-  unsigned char chunk[4096];
-  for (;;) {
-    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      ++replay.corrupt_records;
-      (void)::close(fd);
-      return replay;
-    }
-    if (n == 0) break;
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  (void)::close(fd);
-
+EndpointJournalReplay EndpointStateJournal::Replay(const std::string& path) {
   // Newest valid record per endpoint: later records in the file
   // supersede earlier ones (appends land after the snapshot base).
-  std::unordered_map<std::uint32_t, EndpointPersistentState> newest;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t remaining = data.size() - off;
-    if (remaining < kHeaderBytes) {
-      ++replay.torn_records;
-      break;
-    }
-    if (LoadU32(&data[off]) != kMagic) {
-      ++replay.corrupt_records;
-      break;
-    }
-    const std::uint32_t version = LoadU32(&data[off + 4]);
-    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
-    if (payload_size > kMaxPayloadBytes) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (remaining < kHeaderBytes + payload_size + 4) {
-      ++replay.torn_records;
-      break;
-    }
-    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
-    if (crc != LoadU32(&data[off + kHeaderBytes + payload_size])) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (version != kVersion || payload_size != kPayloadBytes) {
-      ++replay.version_mismatches;
-      off += kHeaderBytes + payload_size + 4;
-      continue;
-    }
-    EndpointPersistentState state;
-    if (!DecodePayload(&data[off + kHeaderBytes], &state)) {
-      ++replay.corrupt_records;
-      break;
-    }
-    newest[state.endpoint_id] = state;
-    ++replay.valid_records;
-    off += kRecordBytes;
-  }
+  std::map<std::uint32_t, EndpointPersistentState> newest;
+  EndpointJournalReplay replay;
+  static_cast<JournalScan&>(replay) =
+      Scan(path, kFormat, [&newest](const unsigned char* payload) {
+        EndpointPersistentState state;
+        if (!DecodePayload(payload, &state)) return false;
+        newest[state.endpoint_id] = state;
+        return true;
+      });
   replay.states.reserve(newest.size());
   for (const auto& [id, state] : newest) replay.states.push_back(state);
-  std::sort(replay.states.begin(), replay.states.end(),
-            [](const EndpointPersistentState& a,
-               const EndpointPersistentState& b) {
-              return a.endpoint_id < b.endpoint_id;
-            });
   return replay;
 }
 

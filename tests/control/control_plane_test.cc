@@ -448,21 +448,5 @@ TEST(ControlPlaneTest, SingleEndpointMatchesBareController) {
   EXPECT_EQ(exported.timer_ns, reference.timer_ns());
 }
 
-TEST(ControlPlaneTest, LatencyHistogramRecordsAndQuantiles) {
-  IngestLatencyHistogram histogram;
-  EXPECT_EQ(histogram.ApproxQuantileNs(0.99), 0u);
-  for (int i = 0; i < 90; ++i) histogram.Record(1000);  // bucket [512,1024)
-  for (int i = 0; i < 10; ++i) histogram.Record(1'000'000);
-  EXPECT_EQ(histogram.count(), 100u);
-  // p50 lands in 1000's bucket, p99 in the slow tail's.
-  EXPECT_LT(histogram.ApproxQuantileNs(0.50), 2048u);
-  EXPECT_GT(histogram.ApproxQuantileNs(0.99), 500'000u);
-
-  IngestLatencyHistogram other;
-  other.Record(1000);
-  histogram.Merge(other);
-  EXPECT_EQ(histogram.count(), 101u);
-}
-
 }  // namespace
 }  // namespace limoncello

@@ -192,5 +192,60 @@ TEST(FleetChaosTest, ChaosRunIsBitIdenticalAtAnyThreadCount) {
   ExpectIdenticalChaos(serial, parallel);
 }
 
+// Golden: the integer fault-path and controller fields of a small serial
+// full-Limoncello fleet, plain and under ChaosSpec() (daemon restarts
+// included). Any change to the per-endpoint decision code that moves one
+// of these moves fleet A/B figures too; re-pin only on purpose. Values
+// recorded at commit e862ed4, before the daemon and the control plane
+// shared one endpoint controller.
+struct FleetGolden {
+  std::uint64_t controller_toggles;
+  std::uint64_t prefetcher_off_ticks;
+  std::uint64_t failsafe_resets;
+  std::uint64_t reboots_detected;
+  std::uint64_t state_reasserts;
+  std::uint64_t warm_restores;
+  std::uint64_t recovery_reconciles;
+  std::uint64_t diverged_machine_ticks;
+  std::uint64_t reconverge_ticks_sum;
+  std::uint64_t msr_write_faults_injected;
+  std::uint64_t daemon_restarts_completed;
+};
+
+FleetOptions GoldenFleet(bool chaos) {
+  FleetOptions options = ChaosFleet(1);
+  options.num_machines = 24;
+  if (!chaos) options.faults = FaultSpec();
+  return options;
+}
+
+void ExpectGolden(const FleetMetrics& m, const FleetGolden& want) {
+  EXPECT_EQ(m.controller_toggles, want.controller_toggles);
+  EXPECT_EQ(m.prefetcher_off_ticks, want.prefetcher_off_ticks);
+  EXPECT_EQ(m.failsafe_resets, want.failsafe_resets);
+  EXPECT_EQ(m.reboots_detected, want.reboots_detected);
+  EXPECT_EQ(m.state_reasserts, want.state_reasserts);
+  EXPECT_EQ(m.warm_restores, want.warm_restores);
+  EXPECT_EQ(m.recovery_reconciles, want.recovery_reconciles);
+  EXPECT_EQ(m.diverged_machine_ticks, want.diverged_machine_ticks);
+  EXPECT_EQ(m.reconverge_ticks_sum, want.reconverge_ticks_sum);
+  EXPECT_EQ(m.msr_write_faults_injected, want.msr_write_faults_injected);
+  EXPECT_EQ(m.daemon_restarts_completed, want.daemon_restarts_completed);
+}
+
+TEST(FleetGoldenTest, PlainFullLimoncelloFleetIsPinned) {
+  const FleetMetrics m = RunFleetArm(
+      PlatformConfig::Platform1(), DeploymentMode::kFullLimoncello,
+      ChaosController(), GoldenFleet(false));
+  ExpectGolden(m, {100, 7656, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+}
+
+TEST(FleetGoldenTest, ChaosFullLimoncelloFleetIsPinned) {
+  const FleetMetrics m = RunFleetArm(
+      PlatformConfig::Platform1(), DeploymentMode::kFullLimoncello,
+      ChaosController(), GoldenFleet(true));
+  ExpectGolden(m, {140, 7049, 35, 19, 19, 32, 1, 132, 132, 192, 32});
+}
+
 }  // namespace
 }  // namespace limoncello

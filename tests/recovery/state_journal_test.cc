@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "recovery/recovery_manager.h"
+
 namespace limoncello {
 namespace {
 
@@ -107,14 +109,32 @@ TEST(StateJournalTest, ReplayKeepsTheNewestRecord) {
 }
 
 TEST(StateJournalTest, CompactionBoundsFileSizeAndKeepsNewestState) {
+  // Compaction is the journal owner's cadence: after
+  // compact_every_appends appends, RecoveryManager writes the next
+  // journaled state as a one-record snapshot. Journal every tick, so the
+  // daemon's tick count numbers the records.
+  struct Telemetry : UtilizationSource {
+    std::optional<double> SampleUtilization() override {
+      return 0.5 + 0.001 * static_cast<double>(n++ % 7);
+    }
+    int n = 0;
+  } telemetry;
+  struct Actuator : PrefetchActuator {
+    bool DisablePrefetchers() override { return true; }
+    bool EnablePrefetchers() override { return true; }
+  } actuator;
   const std::string path = TempPath("compaction.journal");
-  StateJournal journal({.path = path, .compact_every_appends = 4});
-  PersistentState state = DistinctiveState();
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    state.stats.ticks = i;
-    EXPECT_TRUE(journal.Append(state));
+  LimoncelloDaemon daemon(ControllerConfig(), &telemetry, &actuator);
+  RecoveryManager manager({.state_file = path,
+                           .snapshot_period_ticks = 1,
+                           .compact_every_appends = 4},
+                          &daemon);
+  for (std::uint64_t i = 0; i < 39; ++i) {
+    manager.OnTickComplete(
+        daemon.RunTick(static_cast<SimTimeNs>(i) * kNsPerSec));
   }
-  EXPECT_GT(journal.stats().compactions, 0u);
+  EXPECT_EQ(manager.journal().stats().io_errors, 0u);  // every write landed
+  EXPECT_GT(manager.journal().stats().snapshots, 0u);
   EXPECT_LE(std::filesystem::file_size(path),
             5u * StateJournal::kRecordBytes);
   const JournalReplay replay = StateJournal::Replay(path);

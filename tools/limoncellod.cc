@@ -247,6 +247,56 @@ int RunSim(const FlagParser& flags) {
   return 0;
 }
 
+// Optional per-endpoint journal of a control plane (--state-file): on
+// construction warm-restarts the plane's committed decisions from it,
+// then journals dirty endpoints each tick and flushes a snapshot on exit.
+class EndpointJournaling {
+ public:
+  EndpointJournaling(const FlagParser& flags, ControlPlane* plane)
+      : plane_(plane) {
+    const auto state_file = flags.GetString("state-file");
+    if (!state_file.has_value()) return;
+    const EndpointRecoveryResult recovered =
+        RecoverEndpointStates(*state_file, plane_);
+    LIMONCELLO_LOG_INFO(
+        "endpoint journal %s: %d endpoint(s) warm-restored, %d rejected "
+        "(%llu torn, %llu corrupt record(s) tolerated)",
+        state_file->c_str(), recovered.adopted, recovered.rejected,
+        static_cast<unsigned long long>(recovered.replay.torn_records),
+        static_cast<unsigned long long>(recovered.replay.corrupt_records));
+    journal_ = std::make_unique<EndpointStateJournal>(
+        EndpointStateJournal::Options{.path = *state_file});
+  }
+
+  bool enabled() const { return journal_ != nullptr; }
+
+  // Call after every AdvanceTick.
+  void AppendDirty() {
+    if (journal_ == nullptr) return;
+    dirty_.clear();
+    plane_->CollectDirtyEndpoints(&dirty_);
+    for (const EndpointPersistentState& record : dirty_) {
+      (void)journal_->Append(record);
+    }
+  }
+
+  void FlushSnapshot() {
+    if (journal_ == nullptr) return;
+    if (journal_->WriteSnapshot(plane_->ExportAllEndpoints())) {
+      LIMONCELLO_LOG_INFO("flushed endpoint snapshot to %s",
+                          journal_->path().c_str());
+    } else {
+      LIMONCELLO_LOG_WARN("failed to flush endpoint snapshot to %s",
+                          journal_->path().c_str());
+    }
+  }
+
+ private:
+  ControlPlane* plane_;
+  std::unique_ptr<EndpointStateJournal> journal_;
+  std::vector<EndpointPersistentState> dirty_;
+};
+
 // Multi-endpoint sim: one ControlPlane managing --endpoints simulated
 // machines over the framed wire protocol, with optional transport chaos.
 // The single-socket path (--endpoints=1) never enters here — it stays on
@@ -322,23 +372,7 @@ int RunControlSim(const FlagParser& flags) {
         }));
   }
 
-  // Optional per-endpoint journal: warm-restart the fleet's committed
-  // decisions, journal dirty endpoints each tick, snapshot on exit.
-  std::unique_ptr<EndpointStateJournal> journal;
-  const auto state_file = flags.GetString("state-file");
-  if (state_file.has_value()) {
-    const EndpointRecoveryResult recovered =
-        RecoverEndpointStates(*state_file, &plane);
-    LIMONCELLO_LOG_INFO(
-        "endpoint journal %s: %d endpoint(s) warm-restored, %d rejected "
-        "(%llu torn, %llu corrupt record(s) tolerated)",
-        state_file->c_str(), recovered.adopted, recovered.rejected,
-        static_cast<unsigned long long>(recovered.replay.torn_records),
-        static_cast<unsigned long long>(recovered.replay.corrupt_records));
-    EndpointStateJournal::Options jo;
-    jo.path = *state_file;
-    journal = std::make_unique<EndpointStateJournal>(jo);
-  }
+  EndpointJournaling journal(flags, &plane);
 
   LIMONCELLO_LOG_INFO(
       "control-plane mode: %d endpoints over %d shard(s), %d ticks, "
@@ -348,7 +382,6 @@ int RunControlSim(const FlagParser& flags) {
       chaos ? ", transport chaos on" : "");
 
   std::array<unsigned char, kMaxTelemetryFrameBytes> frame;
-  std::vector<EndpointPersistentState> dirty;
   for (int t = 0; t < ticks; ++t) {
     if (g_shutdown_signal != 0) {
       LIMONCELLO_LOG_INFO("signal %d: stopping at tick %d",
@@ -366,25 +399,11 @@ int RunControlSim(const FlagParser& flags) {
     }
     plane.DrainAll(now_ns);
     plane.AdvanceTick();
-    if (journal != nullptr) {
-      dirty.clear();
-      plane.CollectDirtyEndpoints(&dirty);
-      for (const EndpointPersistentState& record : dirty) {
-        (void)journal->Append(record);
-      }
-    }
+    journal.AppendDirty();
   }
   for (auto& wire : wires) wire->Flush();
   plane.DrainAll(now_ns);
-  if (journal != nullptr) {
-    if (journal->WriteSnapshot(plane.ExportAllEndpoints())) {
-      LIMONCELLO_LOG_INFO("flushed endpoint snapshot to %s",
-                          journal->path().c_str());
-    } else {
-      LIMONCELLO_LOG_WARN("failed to flush endpoint snapshot to %s",
-                          journal->path().c_str());
-    }
-  }
+  journal.FlushSnapshot();
 
   const ControlPlane::Stats stats = plane.SnapshotStats();
   LIMONCELLO_LOG_INFO(
@@ -490,21 +509,7 @@ int RunListen(const FlagParser& flags) {
   });
   listener.BindPlane(&plane);
 
-  std::unique_ptr<EndpointStateJournal> journal;
-  const auto state_file = flags.GetString("state-file");
-  if (state_file.has_value()) {
-    const EndpointRecoveryResult recovered =
-        RecoverEndpointStates(*state_file, &plane);
-    LIMONCELLO_LOG_INFO(
-        "endpoint journal %s: %d endpoint(s) warm-restored, %d rejected "
-        "(%llu torn, %llu corrupt record(s) tolerated)",
-        state_file->c_str(), recovered.adopted, recovered.rejected,
-        static_cast<unsigned long long>(recovered.replay.torn_records),
-        static_cast<unsigned long long>(recovered.replay.corrupt_records));
-    EndpointStateJournal::Options jo;
-    jo.path = *state_file;
-    journal = std::make_unique<EndpointStateJournal>(jo);
-  }
+  EndpointJournaling journal(flags, &plane);
 
   if (!listener.Start()) {
     LIMONCELLO_LOG_ERROR("cannot listen on %s: %s", listen_text.c_str(),
@@ -517,7 +522,7 @@ int RunListen(const FlagParser& flags) {
       address.kind == SocketAddress::Kind::kUnix ? "unix" : "tcp",
       num_endpoints, options.num_shards,
       static_cast<long long>(config.tick_period_ns / 1000000),
-      journal != nullptr ? ", journaled" : "");
+      journal.enabled() ? ", journaled" : "");
 
   using Clock = std::chrono::steady_clock;
   const auto tick_period =
@@ -526,7 +531,6 @@ int RunListen(const FlagParser& flags) {
   auto next_tick = started + tick_period;
   const long long max_ticks = flags.GetInt("ticks").value_or(0);
   long long ticks_run = 0;
-  std::vector<EndpointPersistentState> dirty;
   auto now_ns = [&started]() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -551,13 +555,7 @@ int RunListen(const FlagParser& flags) {
     if (Clock::now() >= next_tick) {
       plane.DrainAll(now_ns());
       plane.AdvanceTick();
-      if (journal != nullptr) {
-        dirty.clear();
-        plane.CollectDirtyEndpoints(&dirty);
-        for (const EndpointPersistentState& record : dirty) {
-          (void)journal->Append(record);
-        }
-      }
+      journal.AppendDirty();
       ++ticks_run;
       next_tick += tick_period;
       // A long poll stall (debugger, VM pause) must not cause a tick
@@ -572,15 +570,7 @@ int RunListen(const FlagParser& flags) {
                         static_cast<int>(g_shutdown_signal), ticks_run);
   }
   plane.DrainAll(now_ns());
-  if (journal != nullptr) {
-    if (journal->WriteSnapshot(plane.ExportAllEndpoints())) {
-      LIMONCELLO_LOG_INFO("flushed endpoint snapshot to %s",
-                          journal->path().c_str());
-    } else {
-      LIMONCELLO_LOG_WARN("failed to flush endpoint snapshot to %s",
-                          journal->path().c_str());
-    }
-  }
+  journal.FlushSnapshot();
 
   // Reconvergence banner: an endpoint is converged when it is out of
   // fail-safe and its last accepted batch is fresher than the staleness
