@@ -1,33 +1,23 @@
 // Cache hot-path microbenchmark: accesses/sec per replacement policy and
 // per hierarchy-level geometry (L1 / L2 / LLC sizes), over three traffic
 // shapes (demand-hit-heavy, miss-heavy, prefetch-fill). Every number is a
-// deterministic trace, so runs on the same machine are comparable across
-// PRs — this is the regression guard for the flat-layout / probe-once
-// cache refactor.
+// deterministic trace, so runs on the same machine are comparable. The
+// bench_cache_smoke ctest runs the table at smoke size; the socket-level
+// cost of the cache is perfbench's socket_sim workload.
 //
-//   bench_cache [--accesses=N] [--reps=N] [--smoke] [--json=BENCH_cache.json]
-//               [--baseline=ACCESSES_PER_SEC]
-//
-// --baseline overrides the recorded pre-refactor throughput of the
-// headline scenario (llc/lru/demand_hit) that the emitted JSON compares
-// against.
+//   bench_cache [--accesses=N] [--reps=N] [--smoke]
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "sim/cache/cache.h"
 #include "util/flags.h"
+#include "util/rng.h"
 #include "util/table.h"
 
 namespace limoncello::bench {
 namespace {
-
-// Pre-refactor headline throughput (llc/lru/demand_hit accesses/sec),
-// measured on this repo's reference machine with the original
-// vector-of-vectors cache before the flat-layout refactor. Recorded here
-// so BENCH_cache.json always carries the comparison baseline.
-constexpr double kPreRefactorHeadlineAps = 21972598.2;
 
 struct Geometry {
   const char* level;
@@ -35,81 +25,106 @@ struct Geometry {
   int ways;
 };
 
+struct Policy {
+  const char* name;
+  ReplacementPolicy policy;
+};
+
+// Runs a deterministic (seeded-Rng) access trace against a cache of the
+// given geometry and returns best-of-`reps` accesses/sec. Scenarios:
+//   demand_hit     working set = half the cache; mostly demand hits —
+//                  the probe/layout-bound case
+//   demand_miss    working set = 4x the cache; miss + victim-pick heavy
+//   prefetch_fill  demand misses each followed by a presence-filtered
+//                  buddy-line prefetch fill (the socket's fill shape)
+double RunCell(const char* level, const CacheConfig& config,
+               const std::string& scenario, std::uint64_t accesses,
+               int reps) {
+  using Clock = std::chrono::steady_clock;
+  const std::uint64_t lines = config.size_bytes / kCacheLineBytes;
+  std::uint64_t working_set = lines / 2;
+  if (scenario == "demand_miss") working_set = lines * 4;
+  if (scenario == "prefetch_fill") working_set = lines * 2;
+
+  // Pre-generated trace so the timed loop measures the cache, not the Rng.
+  Rng rng(0xBE7C5EEDULL);
+  std::vector<Addr> trace(std::size_t{1} << 18);
+  for (Addr& addr : trace) addr = rng.NextBounded(working_set);
+  const bool prefetch_fill = scenario == "prefetch_fill";
+
+  Cache cache(config, level);
+  // Same probe-once sequence the socket hot path uses: the miss probe
+  // from LookupDemand feeds the demand fill, and the buddy prefetch is
+  // filtered and filled off a single probe.
+  auto run_trace = [&](std::uint64_t count) {
+    std::size_t cursor = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Addr addr = trace[cursor];
+      cursor = cursor + 1 == trace.size() ? 0 : cursor + 1;
+      Cache::ProbeResult probe;
+      if (!cache.LookupDemand(addr, /*is_store=*/false, nullptr, &probe)) {
+        cache.FillAt(probe, addr, /*is_prefetch=*/false, /*dirty=*/false);
+        if (prefetch_fill) {
+          const Addr buddy = addr ^ 1;
+          const Cache::ProbeResult buddy_probe = cache.Probe(buddy);
+          if (!buddy_probe.hit) {
+            cache.FillAt(buddy_probe, buddy, /*is_prefetch=*/true,
+                         /*dirty=*/false);
+          }
+        }
+      }
+    }
+  };
+  // Warm: populate the working set, then one trace pass to steady state.
+  for (Addr addr = 0; addr < working_set && addr < lines; ++addr) {
+    cache.Fill(addr, /*is_prefetch=*/false, /*dirty=*/false);
+  }
+  run_trace(trace.size());
+
+  double best_seconds = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto start = Clock::now();
+    run_trace(accesses);
+    const auto end = Clock::now();
+    const double seconds =
+        std::chrono::duration<double>(end - start).count();
+    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+  }
+  return best_seconds > 0.0 ? static_cast<double>(accesses) / best_seconds
+                            : 0.0;
+}
+
 int Run(const FlagParser& flags) {
   const bool smoke = flags.GetBool("smoke").value_or(false);
   const std::uint64_t accesses = static_cast<std::uint64_t>(
       flags.GetInt("accesses").value_or(smoke ? 150000 : 4000000));
   const int reps = static_cast<int>(
       flags.GetInt("reps").value_or(smoke ? 1 : 3));
-  const double baseline =
-      flags.GetDouble("baseline").value_or(kPreRefactorHeadlineAps);
 
   const Geometry geometries[] = {
       {"l1", 32 * kKiB, 8},
       {"l2", 1 * kMiB, 16},
       {"llc", 16 * kMiB, 16},
   };
-  const ReplacementPolicy policies[] = {ReplacementPolicy::kLru,
-                                        ReplacementPolicy::kRandom,
-                                        ReplacementPolicy::kSrrip};
+  const Policy policies[] = {{"lru", ReplacementPolicy::kLru},
+                             {"random", ReplacementPolicy::kRandom},
+                             {"srrip", ReplacementPolicy::kSrrip}};
   const char* scenarios[] = {"demand_hit", "demand_miss", "prefetch_fill"};
 
-  std::vector<CacheBenchResult> results;
-  double headline_aps = 0.0;
+  Table table({"level", "policy", "scenario", "Maccesses/sec"});
   for (const Geometry& geometry : geometries) {
-    for (ReplacementPolicy policy : policies) {
+    for (const Policy& policy : policies) {
       for (const char* scenario : scenarios) {
-        CacheConfig config{geometry.size_bytes, geometry.ways, policy};
-        results.push_back(RunCacheMicrobench(geometry.level, config,
-                                             scenario, accesses, reps));
-        const CacheBenchResult& r = results.back();
-        if (r.level == "llc" && r.policy == "lru" &&
-            r.scenario == "demand_hit") {
-          headline_aps = r.accesses_per_sec;
-        }
+        const CacheConfig config{geometry.size_bytes, geometry.ways,
+                                 policy.policy};
+        const double aps =
+            RunCell(geometry.level, config, scenario, accesses, reps);
+        table.AddRow({geometry.level, policy.name, scenario,
+                      Table::Num(aps / 1e6, 1)});
       }
     }
   }
-
-  Table table({"level", "policy", "scenario", "Maccesses/sec"});
-  for (const CacheBenchResult& r : results) {
-    table.AddRow({r.level, r.policy, r.scenario,
-                  Table::Num(r.accesses_per_sec / 1e6, 1)});
-  }
   table.Print("Cache hot path: accesses/sec by geometry, policy, traffic");
-  if (baseline > 0.0) {
-    std::printf("\nheadline llc/lru/demand_hit: %.1f M/s vs pre-refactor "
-                "%.1f M/s => %.2fx\n",
-                headline_aps / 1e6, baseline / 1e6,
-                headline_aps / baseline);
-  }
-
-  const std::string json_path =
-      flags.GetString("json").value_or("BENCH_cache.json");
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"cache\",\n  \"accesses\": %llu,\n"
-               "  \"headline\": {\"scenario\": \"llc/lru/demand_hit\", "
-               "\"accesses_per_sec\": %.1f, "
-               "\"pre_refactor_accesses_per_sec\": %.1f, "
-               "\"speedup_vs_pre_refactor\": %.3f},\n  \"results\": [\n",
-               static_cast<unsigned long long>(accesses), headline_aps,
-               baseline, baseline > 0.0 ? headline_aps / baseline : 0.0);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CacheBenchResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"level\": \"%s\", \"policy\": \"%s\", "
-                 "\"scenario\": \"%s\", \"accesses_per_sec\": %.1f}%s\n",
-                 r.level.c_str(), r.policy.c_str(), r.scenario.c_str(),
-                 r.accesses_per_sec, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }
 
@@ -121,8 +136,6 @@ int main(int argc, char** argv) {
   flags.Define("accesses", "timed accesses per cell (default 4M, smoke 150k)")
       .Define("reps", "timing repetitions, best taken (default 3)")
       .Define("smoke", "tiny sizes for CI (a few ms)")
-      .Define("json", "output path (default BENCH_cache.json)")
-      .Define("baseline", "pre-refactor headline accesses/sec to compare")
       .Define("help", "show this help");
   if (!flags.Parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),

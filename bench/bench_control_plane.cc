@@ -1,123 +1,50 @@
-// Control-plane ingest throughput and CI gate
-// (BENCH_control.json).
-//
-// Sweep mode (default): pre-encodes a deterministic telemetry workload
-// (SimulatedEndpoint fleet, parallel encode), then times the full ingest
-// path — multi-producer pushes into the sharded BoundedControlQueues,
-// parallel per-shard drains through decode, FSM tick, and actuation — at
-// a sweep of thread counts. Reports samples/sec and frames/sec, plus
-// a chaos-transport reconvergence arm (EXPERIMENTS.md table), and emits
-// BENCH_control.json so the numbers can be tracked across PRs.
-//
-// Gate mode (--gate, registered as the bench_control_gate ctest): fails
-// the build when
+// CI gate for the control plane, registered as the bench_control_gate
+// ctest. It pre-encodes a deterministic telemetry workload
+// (SimulatedEndpoint fleet) and fails the build when
 //   - drains at different thread counts diverge in ANY counter or in any
 //     endpoint's final persistent state (the plane promises bit-identical
 //     results: pushes are serial canonical-order, drains parallelize per
 //     shard, so shed/ingest counters must not depend on thread count),
+//   - the gate workload never exercises the shed path,
 //   - the steady-state push+drain loop allocates (>= 0.01 heap
-//     allocations per frame, counted by the operator-new probe below), or
+//     allocations per frame, counted by perfbench's operator-new probe),
+//     or
 //   - serial ingest throughput falls below the 1M samples/sec floor the
 //     design doc commits to (DESIGN.md §15).
 //
-// Gate mode additionally crosses the process boundary (PR: socket
-// transport): a forked blaster child streams the same pre-encoded
-// workload over a real UNIX socket into a SocketListener-fed plane
-// (ingest + alloc floors must hold there too), and a kill -9 storm
-// spawns the limoncellod / limoncello-exporter / limoncello-flakyproxy
-// trio, SIGKILLs every role at least once, and requires the restarted
-// plane to report full reconvergence and leave a replayable journal.
+// The gate also crosses the process boundary: a forked blaster child
+// streams the same pre-encoded workload over a real UNIX socket into a
+// SocketListener-fed plane (ingest + alloc floors must hold there too),
+// and a kill -9 storm spawns the limoncellod / limoncello-exporter /
+// limoncello-flakyproxy trio, SIGKILLs every role at least once, and
+// requires the restarted plane to report full reconvergence and leave a
+// replayable journal. Wire throughput and latency at stated offered
+// loads are perfbench's wire workload.
 //
-//   bench_control_plane [--endpoints=N] [--ticks=N] [--threads=1,2,4]
-//                       [--json=BENCH_control.json] [--gate]
-//                       [--daemon=PATH --exporter=PATH --flakyproxy=PATH]
+//   bench_control_plane [--daemon=PATH --exporter=PATH --flakyproxy=PATH]
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "control/control_plane.h"
 #include "control/endpoint_sim.h"
 #include "control/telemetry_batch.h"
-#include "core/controller_config.h"
-#include "faults/fault_plan.h"
-#include "faults/transport_chaos.h"
+#include "perfbench/src/common.h"
 #include "recovery/state_journal.h"
 #include "transport/socket_addr.h"
 #include "transport/socket_listener.h"
 #include "util/flags.h"
 #include "util/posix_io.h"
 #include "util/rng.h"
-#include "util/table.h"
 #include "util/thread_pool.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation probe (same shape as bench_fleet_engine's): every
-// operator new in this binary funnels through CountedAlloc, so the gate
-// can assert that the steady-state push+drain loop performs ~zero heap
-// allocations per frame. The aligned forms are overridden too.
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<bool> g_count_allocs{false};
-
-void CountAlloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void* CountedAlloc(std::size_t size) {
-  CountAlloc();
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  CountAlloc();
-  const std::size_t padded = (size + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, padded == 0 ? align : padded);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace limoncello::bench {
 namespace {
@@ -128,12 +55,8 @@ constexpr double kGateSamplesPerSecFloor = 1.0e6;
 // the heap; the budget only absorbs measurement jitter.
 constexpr double kGateAllocsPerFrame = 0.01;
 
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using perfbench::AllocCounter;
+using perfbench::NowNs;
 
 // ---------------------------------------------------------------------------
 // Workload: the full frame stream of a SimulatedEndpoint fleet,
@@ -163,8 +86,7 @@ struct Workload {
   }
 };
 
-Workload GenerateWorkload(int endpoints, int ticks, int samples_per_batch,
-                          int threads) {
+Workload GenerateWorkload(int endpoints, int ticks, int samples_per_batch) {
   Workload w;
   w.endpoints = endpoints;
   w.samples_per_batch = samples_per_batch;
@@ -181,7 +103,7 @@ Workload GenerateWorkload(int endpoints, int ticks, int samples_per_batch,
   // Parallel encode: each endpoint's stream is an independent function
   // of its forked Rng, so lanes share nothing.
   const Rng root(42);
-  ThreadPool pool(ResolveThreadCount(threads));
+  ThreadPool pool(ResolveThreadCount(0));
   pool.ParallelFor(0, endpoints, [&](std::int64_t e) {
     SimulatedEndpoint::Options eo;
     eo.endpoint_id = static_cast<std::uint32_t>(e);
@@ -219,22 +141,17 @@ ControlPlaneOptions PlaneOptions(int endpoints, int shards, int capacity) {
 // One timed ingest run: replays the workload through a fresh plane.
 // Pushes are serial in canonical order (so counters are comparable
 // across thread counts); drains parallelize per shard on `threads`
-// lanes every `drain_every` rounds. With parallel_push, pushes fan out
-// across endpoint lanes instead (the MPSC demonstration arm — counters
-// still race-free, but shed choices may vary with interleaving).
+// lanes every `drain_every` rounds.
 
 struct RunResult {
-  int threads = 1;
-  double seconds = 0.0;
   double samples_per_sec = 0.0;
-  double frames_per_sec = 0.0;
   ControlPlane::Stats stats;
   BoundedControlQueue::Counters queue;
   std::vector<EndpointPersistentState> final_states;
 };
 
 RunResult RunIngest(const Workload& w, const ControlPlaneOptions& options,
-                    int threads, int drain_every, bool parallel_push) {
+                    int threads, int drain_every) {
   std::vector<std::uint8_t> hardware(
       static_cast<std::size_t>(options.num_endpoints), 1);
   ControlPlane plane(options, [&hardware](std::uint32_t id, bool enable) {
@@ -245,19 +162,11 @@ RunResult RunIngest(const Workload& w, const ControlPlaneOptions& options,
   const int shards = plane.num_shards();
 
   RunResult r;
-  r.threads = threads;
   const std::uint64_t start = NowNs();
   for (int round = 0; round < w.rounds; ++round) {
-    if (parallel_push) {
-      pool.ParallelFor(0, w.endpoints, [&](std::int64_t e) {
-        plane.IngestFrame(w.FrameData(round, static_cast<int>(e)),
-                          w.FrameSize(round, static_cast<int>(e)), NowNs());
-      });
-    } else {
-      for (int e = 0; e < w.endpoints; ++e) {
-        plane.IngestFrame(w.FrameData(round, e), w.FrameSize(round, e),
-                          NowNs());
-      }
+    for (int e = 0; e < w.endpoints; ++e) {
+      plane.IngestFrame(w.FrameData(round, e), w.FrameSize(round, e),
+                        NowNs());
     }
     if ((round + 1) % drain_every == 0 || round + 1 == w.rounds) {
       pool.ParallelFor(0, shards, [&](std::int64_t shard) {
@@ -268,15 +177,13 @@ RunResult RunIngest(const Workload& w, const ControlPlaneOptions& options,
   }
   const std::uint64_t stop = NowNs();
 
-  r.seconds = static_cast<double>(stop - start) * 1e-9;
+  const double seconds = static_cast<double>(stop - start) * 1e-9;
   r.stats = plane.SnapshotStats();
   r.queue = plane.SnapshotQueueCounters();
   r.final_states = plane.ExportAllEndpoints();
-  if (r.seconds > 0.0) {
+  if (seconds > 0.0) {
     r.samples_per_sec =
-        static_cast<double>(r.stats.samples_accepted.value()) / r.seconds;
-    r.frames_per_sec =
-        static_cast<double>(r.stats.frames_ingested.value()) / r.seconds;
+        static_cast<double>(r.stats.samples_accepted.value()) / seconds;
   }
   return r;
 }
@@ -304,8 +211,7 @@ double MeasureIngestAllocs(const Workload& w,
   plane.DrainAll(NowNs());
   plane.AdvanceTick();
 
-  g_heap_allocs.store(0);
-  g_count_allocs.store(true);
+  AllocCounter::Start();
   std::uint64_t frames = 0;
   for (int round = 1; round < w.rounds; ++round) {
     for (int e = 0; e < w.endpoints; ++e) {
@@ -316,145 +222,15 @@ double MeasureIngestAllocs(const Workload& w,
     plane.DrainAll(NowNs());
     plane.AdvanceTick();
   }
-  g_count_allocs.store(false);
-  const std::uint64_t allocs = g_heap_allocs.load();
+  const std::uint64_t allocs = AllocCounter::Stop();
   return frames > 0 ? static_cast<double>(allocs) /
                           static_cast<double>(frames)
                     : static_cast<double>(allocs);
 }
 
 // ---------------------------------------------------------------------------
-// Chaos reconvergence arm: replays a fleet through per-endpoint
-// ChaosTransports with aggressive fault rates for the first
-// `chaos_ticks`, then clean transport, and measures how long the plane
-// takes to shake off the damage — the EXPERIMENTS.md table row.
-
-struct ChaosResult {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t staled = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t sequence_rejects = 0;
-  std::uint64_t failsafes = 0;
-  // Ticks after the chaos window until the last endpoint delivered a
-  // clean accepted batch (plane fully reconverged; -1 = never).
-  int reconvergence_ticks = -1;
-  int endpoints_reconverged = 0;
-  int endpoints = 0;
-};
-
-ChaosResult RunChaos(int endpoints, int ticks, int chaos_ticks,
-                     int samples_per_batch) {
-  ChaosResult result;
-  result.endpoints = endpoints;
-
-  ControlPlaneOptions options = PlaneOptions(endpoints,
-                                             std::min(endpoints, 8), 1024);
-  // Staleness must budget for batch cadence: a batch lands every
-  // samples_per_batch plane ticks, so the threshold sits past one whole
-  // missed batch — a single dropped frame recovers on the next batch,
-  // two consecutive losses trip the fail-safe.
-  options.config.max_missed_samples = 2 * samples_per_batch;
-  const Rng root(42);
-  std::vector<std::unique_ptr<SimulatedEndpoint>> fleet;
-  for (int e = 0; e < endpoints; ++e) {
-    SimulatedEndpoint::Options eo;
-    eo.endpoint_id = static_cast<std::uint32_t>(e);
-    eo.samples_per_batch = samples_per_batch;
-    fleet.push_back(std::make_unique<SimulatedEndpoint>(
-        eo, root.Fork(static_cast<std::uint64_t>(e))));
-  }
-  ControlPlane plane(options, [&fleet](std::uint32_t id, bool enable) {
-    return fleet[id]->Actuate(enable);
-  });
-
-  // Aggressive chaos window: ~1 in 4 frames is faulted somehow.
-  FaultSpec spec;
-  spec.transport_drop_rate = 0.08;
-  spec.transport_reorder_rate = 0.05;
-  spec.transport_duplicate_rate = 0.04;
-  spec.transport_truncate_rate = 0.05;
-  spec.transport_stale_rate = 0.03;
-  const int chaos_frames = chaos_ticks / samples_per_batch;
-  const Rng chaos_root(7);
-  std::vector<FaultPlan> plans;
-  std::vector<std::unique_ptr<ChaosTransport>> wires;
-  for (int e = 0; e < endpoints; ++e) {
-    plans.push_back(FaultPlan::Generate(
-        spec, chaos_frames, chaos_root.Fork(static_cast<std::uint64_t>(e))));
-  }
-  std::uint64_t now_ns = 0;
-  for (int e = 0; e < endpoints; ++e) {
-    wires.push_back(std::make_unique<ChaosTransport>(
-        &plans[static_cast<std::size_t>(e)],
-        [&plane, &now_ns](const unsigned char* data, std::size_t size) {
-          plane.IngestFrame(data, size, now_ns);
-        }));
-  }
-
-  std::vector<int> reconverged_at(static_cast<std::size_t>(endpoints), -1);
-  unsigned char frame[kMaxTelemetryFrameBytes];
-  for (int tick = 0; tick < ticks; ++tick) {
-    now_ns = static_cast<std::uint64_t>(tick) * 1'000'000ULL;
-    for (int e = 0; e < endpoints; ++e) {
-      const std::size_t size = fleet[static_cast<std::size_t>(e)]->Tick(frame);
-      if (size > 0) {
-        wires[static_cast<std::size_t>(e)]->Send(frame, size);
-      }
-    }
-    if (tick == chaos_ticks - 1) {
-      for (auto& wire : wires) wire->Flush();  // release parked frames
-    }
-    const std::uint64_t accepted_before =
-        plane.SnapshotStats().samples_accepted.value();
-    plane.DrainAll(now_ns);
-    plane.AdvanceTick();
-    // Post-window bookkeeping: an endpoint has reconverged once a clean
-    // batch of its telemetry lands (samples accepted and it is out of
-    // fail-safe).
-    if (tick >= chaos_ticks &&
-        plane.SnapshotStats().samples_accepted.value() > accepted_before) {
-      for (int e = 0; e < endpoints; ++e) {
-        if (reconverged_at[static_cast<std::size_t>(e)] < 0 &&
-            !plane.EndpointInFailsafe(static_cast<std::uint32_t>(e))) {
-          reconverged_at[static_cast<std::size_t>(e)] = tick - chaos_ticks;
-        }
-      }
-    }
-  }
-
-  for (const auto& wire : wires) {
-    const ChaosTransport::Stats& ws = wire->stats();
-    result.frames_sent += ws.sent.value();
-    result.frames_delivered += ws.delivered.value();
-    result.dropped += ws.dropped.value();
-    result.reordered += ws.reordered.value();
-    result.duplicated += ws.duplicated.value();
-    result.truncated += ws.truncated.value();
-    result.staled += ws.staled.value();
-  }
-  const ControlPlane::Stats stats = plane.SnapshotStats();
-  result.decode_failures = stats.decode_failures.value();
-  result.sequence_rejects = stats.sequence_rejects.value();
-  result.failsafes = stats.stale_endpoint_failsafes.value();
-  for (int e = 0; e < endpoints; ++e) {
-    const int at = reconverged_at[static_cast<std::size_t>(e)];
-    if (at >= 0) {
-      ++result.endpoints_reconverged;
-      result.reconvergence_ticks = std::max(result.reconvergence_ticks, at);
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-process arms (gate only). Everything above exercises the plane
-// in process; these two put the PR's actual deliverable — the socket
-// transport — under the same floors.
+// Multi-process arms. Everything above exercises the plane in process;
+// these two put the socket transport under the same floors.
 
 // Socket-floor arm: a forked child connects to a real UNIX socket and
 // blasts the pre-encoded workload; the parent runs the production
@@ -556,14 +332,13 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
       counting = true;
       counted_from_frames = frames;
       counted_from_samples = plane.SnapshotStats().samples_accepted.value();
-      g_heap_allocs.store(0);
-      g_count_allocs.store(true);
+      AllocCounter::Start();
       count_start_ns = NowNs();
       const unsigned char byte = 1;
       (void)SendFully(go[1], &byte, 1);
     }
   }
-  g_count_allocs.store(false);
+  const std::uint64_t allocs = AllocCounter::Stop();
   const std::uint64_t count_stop_ns = NowNs();
   // A blaster still waiting for the go byte (deadline hit during warmup)
   // reads EOF here and exits.
@@ -586,7 +361,7 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
     result.samples_per_sec = static_cast<double>(counted_samples) / seconds;
   }
   if (counted_frames > 0) {
-    result.allocs_per_frame = static_cast<double>(g_heap_allocs.load()) /
+    result.allocs_per_frame = static_cast<double>(allocs) /
                               static_cast<double>(counted_frames);
   }
   return result;
@@ -792,82 +567,6 @@ KillStormResult RunKillStorm(const std::string& daemon_path,
 
 // ---------------------------------------------------------------------------
 
-std::vector<int> ParseThreadList(const std::string& spec) {
-  std::vector<int> threads;
-  std::string token;
-  for (std::size_t i = 0; i <= spec.size(); ++i) {
-    if (i == spec.size() || spec[i] == ',') {
-      if (!token.empty()) {
-        const int t = std::atoi(token.c_str());
-        if (t >= 1) threads.push_back(t);
-        token.clear();
-      }
-    } else {
-      token.push_back(spec[i]);
-    }
-  }
-  return threads;
-}
-
-bool WriteJson(const std::string& path, const Workload& w,
-               const ControlPlaneOptions& options,
-               const std::vector<RunResult>& runs, bool deterministic,
-               double allocs_per_frame, const ChaosResult& chaos,
-               int hardware_threads) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"control_plane\",\n");
-  std::fprintf(f, "  \"endpoints\": %d,\n", w.endpoints);
-  std::fprintf(f, "  \"shards\": %d,\n", options.num_shards);
-  std::fprintf(f, "  \"samples_per_batch\": %d,\n", w.samples_per_batch);
-  std::fprintf(f, "  \"rounds\": %d,\n", w.rounds);
-  std::fprintf(f, "  \"queue_capacity\": %d,\n", options.queue.capacity);
-  std::fprintf(f, "  \"hardware_threads\": %d,\n", hardware_threads);
-  std::fprintf(f, "  \"ingest\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"threads\": %d, \"seconds\": %.6f, \"samples_per_sec\": "
-        "%.0f, \"frames_per_sec\": %.0f, \"frames_shed\": "
-        "%llu, \"backpressure_signals\": %llu}%s\n",
-        r.threads, r.seconds, r.samples_per_sec, r.frames_per_sec,
-        static_cast<unsigned long long>(r.stats.frames_shed.value()),
-        static_cast<unsigned long long>(
-            r.stats.backpressure_signals.value()),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"deterministic_across_threads\": %s,\n",
-               deterministic ? "true" : "false");
-  std::fprintf(f, "  \"allocs_per_frame\": %.6f,\n", allocs_per_frame);
-  std::fprintf(
-      f,
-      "  \"chaos\": {\"endpoints\": %d, \"frames_sent\": %llu, "
-      "\"frames_delivered\": %llu, \"dropped\": %llu, \"reordered\": %llu, "
-      "\"duplicated\": %llu, \"truncated\": %llu, \"stale_redeliveries\": "
-      "%llu, \"decode_failures\": %llu, \"sequence_rejects\": %llu, "
-      "\"stale_endpoint_failsafes\": %llu, \"endpoints_reconverged\": %d, "
-      "\"reconvergence_ticks_max\": %d}\n",
-      chaos.endpoints, static_cast<unsigned long long>(chaos.frames_sent),
-      static_cast<unsigned long long>(chaos.frames_delivered),
-      static_cast<unsigned long long>(chaos.dropped),
-      static_cast<unsigned long long>(chaos.reordered),
-      static_cast<unsigned long long>(chaos.duplicated),
-      static_cast<unsigned long long>(chaos.truncated),
-      static_cast<unsigned long long>(chaos.staled),
-      static_cast<unsigned long long>(chaos.decode_failures),
-      static_cast<unsigned long long>(chaos.sequence_rejects),
-      static_cast<unsigned long long>(chaos.failsafes),
-      chaos.endpoints_reconverged, chaos.reconvergence_ticks);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-
 int RunGate(const FlagParser& flags) {
   // Fixed gate configuration: big enough that serial wall time dominates
   // timer noise, small enough to stay an instant ctest. Capacity 64 with
@@ -877,7 +576,7 @@ int RunGate(const FlagParser& flags) {
   const int samples_per_batch = 8;
   const int ticks = 1024;
   const int hw = ResolveThreadCount(0);
-  const Workload w = GenerateWorkload(endpoints, ticks, samples_per_batch, 0);
+  const Workload w = GenerateWorkload(endpoints, ticks, samples_per_batch);
   std::printf("control plane gate: %d endpoints x %d rounds (%llu samples), "
               "host has %d hardware threads\n",
               endpoints, w.rounds,
@@ -886,8 +585,7 @@ int RunGate(const FlagParser& flags) {
   const ControlPlaneOptions shed_options = PlaneOptions(endpoints, 8, 64);
   std::vector<RunResult> runs;
   for (int t : {1, 2, 4}) {
-    runs.push_back(RunIngest(w, shed_options, t, /*drain_every=*/4,
-                             /*parallel_push=*/false));
+    runs.push_back(RunIngest(w, shed_options, t, /*drain_every=*/4));
   }
   bool identical = true;
   for (const RunResult& r : runs) identical &= SameOutcome(runs[0], r);
@@ -912,8 +610,7 @@ int RunGate(const FlagParser& flags) {
   // Best-of-3 serial throughput vs the 1M samples/sec floor.
   RunResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    RunResult r = RunIngest(w, roomy_options, 1, /*drain_every=*/1,
-                            /*parallel_push=*/false);
+    RunResult r = RunIngest(w, roomy_options, 1, /*drain_every=*/1);
     if (rep == 0 || r.samples_per_sec > best.samples_per_sec) {
       best = std::move(r);
     }
@@ -974,103 +671,14 @@ int RunGate(const FlagParser& flags) {
              : 1;
 }
 
-int Run(const FlagParser& flags) {
-  if (flags.GetBool("gate").value_or(false)) return RunGate(flags);
-
-  const int endpoints =
-      static_cast<int>(flags.GetInt("endpoints").value_or(256));
-  const int ticks = static_cast<int>(flags.GetInt("ticks").value_or(4096));
-  const int samples_per_batch = 8;
-  const int hw = ResolveThreadCount(0);
-  std::string spec = flags.GetString("threads").value_or("1,2,4");
-  std::vector<int> threads = ParseThreadList(spec);
-  if (threads.empty()) {
-    std::fprintf(stderr, "error: bad --threads list '%s'\n", spec.c_str());
-    return 2;
-  }
-
-  std::printf("control plane ingest: %d endpoints x %d ticks (host has %d "
-              "hardware threads)\n",
-              endpoints, ticks, hw);
-  const Workload w = GenerateWorkload(endpoints, ticks, samples_per_batch, 0);
-  const ControlPlaneOptions options = PlaneOptions(endpoints, 8, 1024);
-
-  // Throughput sweep: parallel producers + parallel per-shard drains.
-  std::vector<RunResult> runs;
-  for (int t : threads) {
-    runs.push_back(RunIngest(w, options, t, /*drain_every=*/1,
-                             /*parallel_push=*/t > 1));
-  }
-  Table table({"threads", "wall(s)", "samples/sec", "frames/sec",
-               "shed"});
-  for (const RunResult& r : runs) {
-    table.AddRow({Table::Num(static_cast<std::int64_t>(r.threads)),
-                  Table::Num(r.seconds, 3), Table::Num(r.samples_per_sec, 0),
-                  Table::Num(r.frames_per_sec, 0),
-                  Table::Num(static_cast<std::int64_t>(
-                      r.stats.frames_shed.value()))});
-  }
-  table.Print("Control plane: ingest throughput by thread count");
-
-  // Determinism cross-check at sweep scale (serial canonical pushes).
-  std::vector<RunResult> det;
-  for (int t : {1, 4}) {
-    det.push_back(RunIngest(w, PlaneOptions(endpoints, 8, 64), t,
-                            /*drain_every=*/4, /*parallel_push=*/false));
-  }
-  const bool deterministic = SameOutcome(det[0], det[1]);
-  std::printf("\ncounters across drain thread counts: %s\n",
-              deterministic ? "bit-identical" : "MISMATCH (plane bug!)");
-
-  const double allocs_per_frame = MeasureIngestAllocs(w, options);
-  std::printf("steady-state heap allocs per frame: %.4f\n", allocs_per_frame);
-
-  // Chaos reconvergence arm.
-  const ChaosResult chaos = RunChaos(/*endpoints=*/64, /*ticks=*/2048,
-                                     /*chaos_ticks=*/1024, samples_per_batch);
-  std::printf(
-      "\nchaos arm: %llu frames sent -> %llu delivered (%llu dropped, %llu "
-      "reordered, %llu duplicated, %llu truncated, %llu stale)\n"
-      "           %llu decode failures, %llu sequence rejects, %llu "
-      "fail-safes; %d/%d endpoints reconverged within %d ticks of the "
-      "window closing\n",
-      static_cast<unsigned long long>(chaos.frames_sent),
-      static_cast<unsigned long long>(chaos.frames_delivered),
-      static_cast<unsigned long long>(chaos.dropped),
-      static_cast<unsigned long long>(chaos.reordered),
-      static_cast<unsigned long long>(chaos.duplicated),
-      static_cast<unsigned long long>(chaos.truncated),
-      static_cast<unsigned long long>(chaos.staled),
-      static_cast<unsigned long long>(chaos.decode_failures),
-      static_cast<unsigned long long>(chaos.sequence_rejects),
-      static_cast<unsigned long long>(chaos.failsafes),
-      chaos.endpoints_reconverged, chaos.endpoints,
-      chaos.reconvergence_ticks);
-
-  const std::string json_path =
-      flags.GetString("json").value_or("BENCH_control.json");
-  if (!WriteJson(json_path, w, options, runs, deterministic, allocs_per_frame,
-                 chaos, hw)) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
-  return deterministic ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace limoncello::bench
 
 int main(int argc, char** argv) {
   limoncello::FlagParser flags;
-  flags.Define("endpoints", "fleet size for the sweep (default 256)")
-      .Define("ticks", "exporter ticks to replay (default 4096)")
-      .Define("threads", "comma-separated thread counts (default 1,2,4)")
-      .Define("json", "output path (default BENCH_control.json)")
-      .Define("gate", "run the CI gate checks and exit")
-      .Define("daemon", "limoncellod path (gate kill-storm arm)")
-      .Define("exporter", "limoncello-exporter path (gate kill-storm arm)")
-      .Define("flakyproxy", "limoncello-flakyproxy path (gate kill-storm arm)");
+  flags.Define("daemon", "limoncellod path (kill-storm arm)")
+      .Define("exporter", "limoncello-exporter path (kill-storm arm)")
+      .Define("flakyproxy", "limoncello-flakyproxy path (kill-storm arm)");
   if (!flags.Parse(argc, argv)) return 2;
-  return limoncello::bench::Run(flags);
+  return limoncello::bench::RunGate(flags);
 }

@@ -1,104 +1,27 @@
-// Self-timing harness and CI gate for the parallel fleet engine.
-//
-// Sweep mode (default): runs the same fleet at a sweep of thread counts,
-// prints wall time and machine-ticks/sec per count (plus speedup vs the
-// serial engine), cross-checks that every thread count produced
-// bit-identical metrics, and emits BENCH_fleet.json so the numbers can
-// be tracked across PRs. --big appends the fleet-scale arm (100k
-// machines x 600 ticks, 8 threads) to the JSON.
-//
-// Gate mode (--gate, registered as the bench_fleet_gate ctest): a small
-// fixed configuration that fails the build when
+// CI gate for the parallel fleet engine, registered as the
+// bench_fleet_gate ctest. A small fixed configuration fails the build
+// when
 //   - parallel metrics diverge from serial (determinism regression),
 //   - the epoch loop allocates (>= 0.05 heap allocations per
-//     machine-tick, counted by the operator-new probe below), or
+//     machine-tick, counted by perfbench's operator-new probe), or
 //   - 4-thread speedup falls below a hardware-aware floor: 1.5x where
 //     the host has >= 4 hardware threads, 1.05x with >= 2, and 0.85x on
 //     a single-core host (threads can't win there; the gate only
 //     rejects parallel-much-slower-than-serial regressions).
 //
-//   bench_fleet_engine [--machines=N] [--ticks=N] [--threads=1,2,4,8]
-//                      [--spin-us=N] [--json=BENCH_fleet.json]
-//                      [--baseline=RATE] [--big] [--gate]
-#include <algorithm>
-#include <atomic>
+// Fleet throughput itself is measured by perfbench's fleet_ab workload
+// (`python3 perfbench/run.py --workload fleet_ab`).
+//
+//   bench_fleet_engine
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
-#include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "util/flags.h"
-#include "util/table.h"
+#include "perfbench/src/common.h"
 #include "util/thread_pool.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation probe (same shape as bench_socket's): every operator
-// new in this binary funnels through CountedAlloc, so the gate can assert
-// that a steady-state Run() window performs ~zero heap allocations per
-// machine-tick. The aligned forms are overridden too — FleetState's SoA
-// arrays are 64-byte-aligned, and a regression that re-allocates them
-// mid-run must not slip past the probe.
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<bool> g_count_allocs{false};
-
-void CountAlloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void* CountedAlloc(std::size_t size) {
-  CountAlloc();
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  CountAlloc();
-  const std::size_t padded = (size + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, padded == 0 ? align : padded);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace limoncello::bench {
 namespace {
-
-// Serial machine-ticks/sec recorded on this repo's reference machine
-// before the SoA / epoch-batching refactor, so the emitted JSON always
-// carries the serial-engine comparison even on single-core hosts where
-// the thread-sweep curve is flat. Override with --baseline when
-// re-baselining on different hardware.
-constexpr double kPreSoaSerialTicksPerSec = 400822.0;
 
 // Gate allocation budget: heap allocations per machine-tick across one
 // full serial Run(). The epoch loop itself is allocation-free; the
@@ -106,31 +29,33 @@ constexpr double kPreSoaSerialTicksPerSec = 400822.0;
 // buffer) and amortized histogram-bucket growth.
 constexpr double kGateAllocsPerMachineTick = 0.05;
 
-std::vector<int> ParseThreadList(const std::string& spec) {
-  std::vector<int> threads;
-  std::string token;
-  for (std::size_t i = 0; i <= spec.size(); ++i) {
-    if (i == spec.size() || spec[i] == ',') {
-      if (!token.empty()) {
-        const int t = std::atoi(token.c_str());
-        if (t >= 1) threads.push_back(t);
-        token.clear();
-      }
-    } else {
-      token.push_back(spec[i]);
-    }
-  }
-  return threads;
-}
+struct FleetEngineTiming {
+  double seconds = 0.0;  // wall time of Run() only
+  double machine_ticks_per_sec = 0.0;
+  std::uint64_t machine_ticks = 0;
+  double served_qps_sum = 0.0;  // determinism cross-check value
+};
 
-bool Identical(const std::vector<FleetEngineTiming>& results) {
-  for (const FleetEngineTiming& r : results) {
-    if (r.served_qps_sum != results[0].served_qps_sum ||
-        r.machine_ticks != results[0].machine_ticks) {
-      return false;
-    }
-  }
-  return true;
+// Constructs the simulator (placement excluded from timing) and times
+// Run() at the given thread count.
+FleetEngineTiming TimeFleetEngine(FleetOptions options, int threads) {
+  options.num_threads = threads;
+  FleetSimulator sim(PlatformConfig::Platform1(),
+                     DeploymentMode::kFullLimoncello,
+                     DeployedControllerConfig(), options);
+  const auto start = std::chrono::steady_clock::now();
+  const FleetMetrics metrics = sim.Run();
+  const auto end = std::chrono::steady_clock::now();
+
+  FleetEngineTiming timing;
+  timing.seconds = std::chrono::duration<double>(end - start).count();
+  timing.machine_ticks = metrics.machine_ticks;
+  timing.machine_ticks_per_sec =
+      timing.seconds > 0.0
+          ? static_cast<double>(timing.machine_ticks) / timing.seconds
+          : 0.0;
+  timing.served_qps_sum = metrics.served_qps_sum;
+  return timing;
 }
 
 // Counts heap allocations across one serial Run() (construction and
@@ -141,11 +66,9 @@ double MeasureRunAllocs(const FleetOptions& options) {
   FleetSimulator sim(PlatformConfig::Platform1(),
                      DeploymentMode::kFullLimoncello,
                      DeployedControllerConfig(), serial);
-  g_heap_allocs.store(0);
-  g_count_allocs.store(true);
+  perfbench::AllocCounter::Start();
   const FleetMetrics metrics = sim.Run();
-  g_count_allocs.store(false);
-  const std::uint64_t allocs = g_heap_allocs.load();
+  const std::uint64_t allocs = perfbench::AllocCounter::Stop();
   return metrics.machine_ticks > 0
              ? static_cast<double>(allocs) /
                    static_cast<double>(metrics.machine_ticks)
@@ -183,19 +106,15 @@ int RunGate() {
   FleetEngineTiming serial;
   FleetEngineTiming parallel;
   for (int rep = 0; rep < 3; ++rep) {
-    const FleetEngineTiming s =
-        TimeFleetEngine(PlatformConfig::Platform1(),
-                        DeploymentMode::kFullLimoncello,
-                        DeployedControllerConfig(), options, 1);
-    const FleetEngineTiming p =
-        TimeFleetEngine(PlatformConfig::Platform1(),
-                        DeploymentMode::kFullLimoncello,
-                        DeployedControllerConfig(), options, 4);
+    const FleetEngineTiming s = TimeFleetEngine(options, 1);
+    const FleetEngineTiming p = TimeFleetEngine(options, 4);
     if (rep == 0 || s.seconds < serial.seconds) serial = s;
     if (rep == 0 || p.seconds < parallel.seconds) parallel = p;
   }
 
-  const bool identical = Identical({serial, parallel});
+  const bool identical =
+      serial.served_qps_sum == parallel.served_qps_sum &&
+      serial.machine_ticks == parallel.machine_ticks;
   std::printf("[%s] serial vs 4-thread metrics bit-identical\n",
               identical ? "pass" : "FAIL");
 
@@ -213,121 +132,7 @@ int RunGate() {
   return allocs_ok && identical && fast_enough ? 0 : 1;
 }
 
-int Run(const FlagParser& flags) {
-  if (const auto spin = flags.GetInt("spin-us"); spin.has_value()) {
-    SetSpinBudgetUs(static_cast<int>(*spin));
-  }
-  if (flags.GetBool("gate").value_or(false)) return RunGate();
-
-  // The sweep pins 1000 machines (not DefaultFleetOptions' 100k) so the
-  // curve in BENCH_fleet.json stays comparable across PRs; the
-  // fleet-scale configuration is covered by the --big arm below.
-  FleetOptions options = DefaultFleetOptions(42);
-  options.num_machines = 1000;
-  options.num_machines = static_cast<int>(
-      flags.GetInt("machines").value_or(options.num_machines));
-  options.ticks =
-      static_cast<int>(flags.GetInt("ticks").value_or(options.ticks));
-  // Default sweep: serial engine, 2/4/8 lanes, and whatever the host
-  // (or LIMONCELLO_THREADS) resolves to.
-  std::string spec = flags.GetString("threads").value_or("1,2,4,8");
-  std::vector<int> threads = ParseThreadList(spec);
-  if (threads.empty()) {
-    std::fprintf(stderr, "error: bad --threads list '%s'\n", spec.c_str());
-    return 2;
-  }
-  const int resolved = ResolveThreadCount(0);
-  if (!flags.GetString("threads").has_value() &&
-      std::find(threads.begin(), threads.end(), resolved) == threads.end()) {
-    threads.push_back(resolved);
-  }
-
-  std::printf("fleet engine self-timing: %d machines x %d ticks (host has "
-              "%d hardware threads)\n",
-              options.num_machines, options.ticks, resolved);
-  std::vector<FleetEngineTiming> results;
-  for (int t : threads) {
-    results.push_back(TimeFleetEngine(PlatformConfig::Platform1(),
-                                      DeploymentMode::kFullLimoncello,
-                                      DeployedControllerConfig(), options,
-                                      t));
-  }
-  const bool identical = Identical(results);
-
-  Table table({"threads", "wall(s)", "machine_ticks/sec", "speedup_vs_1"});
-  double serial_rate = 0.0;
-  for (const FleetEngineTiming& r : results) {
-    if (r.threads == 1) serial_rate = r.machine_ticks_per_sec;
-  }
-  for (const FleetEngineTiming& r : results) {
-    table.AddRow({Table::Num(static_cast<std::int64_t>(r.threads)),
-                  Table::Num(r.seconds, 3),
-                  Table::Num(r.machine_ticks_per_sec, 0),
-                  serial_rate > 0.0
-                      ? Table::Num(r.machine_ticks_per_sec / serial_rate, 2)
-                      : "n/a"});
-  }
-  table.Print("Parallel fleet engine: machine-ticks/sec by thread count");
-  std::printf("\nmetrics across thread counts: %s\n",
-              identical ? "bit-identical" : "MISMATCH (engine bug!)");
-  const double baseline =
-      flags.GetDouble("baseline").value_or(kPreSoaSerialTicksPerSec);
-  if (serial_rate > 0.0 && baseline > 0.0) {
-    std::printf("serial engine vs pre-SoA baseline: %.2fx "
-                "(%.0f vs %.0f machine-ticks/sec)\n",
-                serial_rate / baseline, serial_rate, baseline);
-  }
-
-  // Fleet-scale arm: DefaultFleetOptions' 100k machines for the full 600
-  // ticks on 8 lanes — the ROADMAP target is completing this under 60 s.
-  FleetEngineTiming big_run;
-  FleetOptions big_options = DefaultFleetOptions(42);
-  const bool ran_big = flags.GetBool("big").value_or(false);
-  if (ran_big) {
-    std::printf("\nfleet-scale arm: %d machines x %d ticks, 8 threads...\n",
-                big_options.num_machines, big_options.ticks);
-    big_run = TimeFleetEngine(PlatformConfig::Platform1(),
-                              DeploymentMode::kFullLimoncello,
-                              DeployedControllerConfig(), big_options, 8);
-    std::printf("fleet-scale arm: %.1f s wall, %.0f machine-ticks/sec\n",
-                big_run.seconds, big_run.machine_ticks_per_sec);
-  }
-
-  const std::string json_path =
-      flags.GetString("json").value_or("BENCH_fleet.json");
-  if (!WriteFleetBenchJson(json_path, options, results, resolved, baseline,
-                           ran_big ? &big_run : nullptr,
-                           ran_big ? &big_options : nullptr)) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
-  return identical ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace limoncello::bench
 
-int main(int argc, char** argv) {
-  limoncello::FlagParser flags;
-  flags.Define("machines", "fleet size for the sweep (default 1000)")
-      .Define("ticks", "telemetry ticks to run (default 600)")
-      .Define("threads",
-              "comma-separated thread counts (default 1,2,4,8 + host)")
-      .Define("spin-us", "pool spin budget override in microseconds")
-      .Define("json", "output path (default BENCH_fleet.json)")
-      .Define("baseline", "pre-SoA serial machine-ticks/sec to compare")
-      .Define("big", "also run the 100k-machine x 600-tick arm")
-      .Define("gate", "CI gate: determinism + allocs + speedup floor")
-      .Define("help", "show this help");
-  if (!flags.Parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
-                 flags.Help(argv[0]).c_str());
-    return 2;
-  }
-  if (flags.GetBool("help").value_or(false)) {
-    std::printf("%s", flags.Help(argv[0]).c_str());
-    return 0;
-  }
-  return limoncello::bench::Run(flags);
-}
+int main() { return limoncello::bench::RunGate(); }

@@ -1,75 +1,38 @@
-// Socket hot-path microbenchmark: end-to-end Socket::ProcessAccess
-// throughput (demand lines/sec through the full L1/L2/LLC/memory path,
-// prefetch engines on and off) plus a heap-allocation audit of the
-// steady-state access loop. Emits BENCH_socket.json, which also carries
-// the headline cache microbench (demand-hit-heavy LLC) and its recorded
-// pre-refactor baseline so the layout-refactor win stays a tracked
-// number.
+// Socket hot-path microbenchmark and allocation gate, registered as the
+// bench_socket_smoke ctest: end-to-end Socket::ProcessAccess throughput
+// (demand lines/sec through the full L1/L2/LLC/memory path, prefetch
+// engines on and off) plus heap-allocation audits, counted by perfbench's
+// operator-new probe. It exits non-zero if
+//   - the steady-state tick loop of either socket arm allocates at all
+//     (the zero-alloc invariant of the access loop),
+//   - the daemon loop with the fault layer in place (empty plan)
+//     allocates more or less than the bare loop, or
+//   - the daemon loop journaling every tick allocates more or less than
+//     the bare loop (the StateJournal append path stays off the heap).
+// perfbench's socket_sim workload measures the same socket at benchmark
+// scale.
 //
-//   bench_socket [--epochs=N] [--smoke] [--json=BENCH_socket.json]
-//                [--check-allocs] [--cache-baseline=APS]
-//                [--socket-baseline=LPS]
-//
-// --check-allocs exits non-zero if the steady-state tick loop performed
-// any heap allocation (the zero-alloc invariant of the access loop), or
-// if the journaled daemon arm allocates more than the bare one (the
-// StateJournal append path must stay off the heap too).
-#include <atomic>
+//   bench_socket [--epochs=N] [--smoke]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
+#include <optional>
 #include <string>
-#include <vector>
 
-#include "bench/bench_util.h"
 #include "core/daemon.h"
 #include "faults/fault_injector.h"
 #include "msr/simulated_msr_device.h"
+#include "perfbench/src/common.h"
 #include "recovery/recovery_manager.h"
+#include "sim/machine/socket.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
-// ---------------------------------------------------------------------------
-// Global allocation probe. Every operator new in this binary funnels
-// through CountedAlloc; the steady-state window between warm-up and the
-// end of the timed loop must allocate nothing (the scratch-buffer
-// invariant in Socket::ProcessAccess).
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<bool> g_count_allocs{false};
-
-void* CountedAlloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace limoncello::bench {
 namespace {
 
-// Pre-refactor numbers recorded on this repo's reference machine before
-// the flat-layout / probe-once / zero-alloc refactor, so the emitted JSON
-// always shows the comparison. Override with --cache-baseline /
-// --socket-baseline when re-baselining on different hardware.
-constexpr double kPreRefactorCacheHitAps = 23234207.6;
-constexpr double kPreRefactorSocketLps = 2978325.3;
+using perfbench::AllocCounter;
 
 struct SocketArmResult {
   bool prefetchers_on = false;
@@ -125,12 +88,11 @@ SocketArmResult RunSocketArm(bool prefetchers_on, int epochs) {
   for (int epoch = 0; epoch < 12; ++epoch) socket.Step(100 * kNsPerUs);
 
   const PmuCounters warm = socket.counters();
-  g_heap_allocs.store(0);
-  g_count_allocs.store(true);
+  AllocCounter::Start();
   const auto start = Clock::now();
   for (int epoch = 0; epoch < epochs; ++epoch) socket.Step(100 * kNsPerUs);
   const auto end = Clock::now();
-  g_count_allocs.store(false);
+  const std::uint64_t allocs = AllocCounter::Stop();
   const PmuCounters& done = socket.counters();
 
   SocketArmResult result;
@@ -142,7 +104,7 @@ SocketArmResult RunSocketArm(bool prefetchers_on, int epochs) {
       result.seconds > 0.0
           ? static_cast<double>(result.lines) / result.seconds
           : 0.0;
-  result.steady_state_allocs = g_heap_allocs.load();
+  result.steady_state_allocs = allocs;
   return result;
 }
 
@@ -201,15 +163,14 @@ DaemonArmResult RunDaemonArm(bool with_fault_layer, int ticks) {
     daemon.RunTick(static_cast<SimTimeNs>(t) * kNsPerSec);
   }
 
-  g_heap_allocs.store(0);
-  g_count_allocs.store(true);
+  AllocCounter::Start();
   const auto start = Clock::now();
   for (int t = 256; t < 256 + ticks; ++t) {
     if (with_fault_layer) injector.BeginTick();
     daemon.RunTick(static_cast<SimTimeNs>(t) * kNsPerSec);
   }
   const auto end = Clock::now();
-  g_count_allocs.store(false);
+  const std::uint64_t allocs = AllocCounter::Stop();
 
   DaemonArmResult result;
   result.with_fault_layer = with_fault_layer;
@@ -217,7 +178,7 @@ DaemonArmResult RunDaemonArm(bool with_fault_layer, int ticks) {
   result.seconds = std::chrono::duration<double>(end - start).count();
   result.ticks_per_sec =
       result.seconds > 0.0 ? ticks / result.seconds : 0.0;
-  result.steady_state_allocs = g_heap_allocs.load();
+  result.steady_state_allocs = allocs;
   return result;
 }
 
@@ -270,8 +231,7 @@ RecoveryArmResult RunRecoveryArm(bool with_journal, int ticks,
     if (recovery != nullptr) recovery->OnTickComplete(record);
   }
 
-  g_heap_allocs.store(0);
-  g_count_allocs.store(true);
+  AllocCounter::Start();
   const auto start = Clock::now();
   for (int t = 256; t < 256 + ticks; ++t) {
     const LimoncelloDaemon::TickRecord record =
@@ -279,7 +239,7 @@ RecoveryArmResult RunRecoveryArm(bool with_journal, int ticks,
     if (recovery != nullptr) recovery->OnTickComplete(record);
   }
   const auto end = Clock::now();
-  g_count_allocs.store(false);
+  const std::uint64_t allocs = AllocCounter::Stop();
 
   RecoveryArmResult result;
   result.with_journal = with_journal;
@@ -287,7 +247,7 @@ RecoveryArmResult RunRecoveryArm(bool with_journal, int ticks,
   result.seconds = std::chrono::duration<double>(end - start).count();
   result.ticks_per_sec =
       result.seconds > 0.0 ? ticks / result.seconds : 0.0;
-  result.steady_state_allocs = g_heap_allocs.load();
+  result.steady_state_allocs = allocs;
   if (recovery != nullptr) {
     result.journal_appends = recovery->journal().stats().appends;
     result.journal_compactions = recovery->journal().stats().snapshots;
@@ -301,16 +261,6 @@ int Run(const FlagParser& flags) {
   const bool smoke = flags.GetBool("smoke").value_or(false);
   const int epochs =
       static_cast<int>(flags.GetInt("epochs").value_or(smoke ? 6 : 60));
-  const double cache_baseline =
-      flags.GetDouble("cache-baseline").value_or(kPreRefactorCacheHitAps);
-  const double socket_baseline =
-      flags.GetDouble("socket-baseline").value_or(kPreRefactorSocketLps);
-
-  // Headline cache microbench (same cell bench_cache reports): the
-  // acceptance number for the layout refactor lives in this JSON too.
-  const CacheBenchResult cache_hit = RunCacheMicrobench(
-      "llc", CacheConfig{16 * kMiB, 16, ReplacementPolicy::kLru},
-      "demand_hit", smoke ? 150000 : 4000000, smoke ? 1 : 3);
 
   const SocketArmResult arms[] = {RunSocketArm(true, epochs),
                                   RunSocketArm(false, epochs)};
@@ -356,118 +306,43 @@ int Run(const FlagParser& flags) {
          Table::Num(static_cast<std::int64_t>(arm.journal_appends))});
   }
   recovery_table.Print("Daemon control loop (state-journal overhead)");
-  std::printf("\ncache llc/lru/demand_hit: %.1f M accesses/sec",
-              cache_hit.accesses_per_sec / 1e6);
-  if (cache_baseline > 0.0) {
-    std::printf(" (%.2fx vs pre-refactor %.1f M/s)",
-                cache_hit.accesses_per_sec / cache_baseline,
-                cache_baseline / 1e6);
-  }
-  std::printf("\n");
 
-  const std::string json_path =
-      flags.GetString("json").value_or("BENCH_socket.json");
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  for (const SocketArmResult& arm : arms) {
+    if (arm.steady_state_allocs != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %llu heap allocations in the steady-state "
+                   "access loop (prefetchers %s); the hot path must be "
+                   "allocation-free\n",
+                   static_cast<unsigned long long>(arm.steady_state_allocs),
+                   arm.prefetchers_on ? "on" : "off");
+      return 1;
+    }
+  }
+  if (daemon_arms[0].steady_state_allocs !=
+      daemon_arms[1].steady_state_allocs) {
+    std::fprintf(stderr,
+                 "FAIL: the empty-plan fault layer changed the daemon "
+                 "loop's allocation count (bare %llu vs fault layer "
+                 "%llu); the no-fault path must add zero allocations\n",
+                 static_cast<unsigned long long>(
+                     daemon_arms[0].steady_state_allocs),
+                 static_cast<unsigned long long>(
+                     daemon_arms[1].steady_state_allocs));
     return 1;
   }
-  std::fprintf(
-      f,
-      "{\n  \"bench\": \"socket_hot_path\",\n  \"epochs\": %d,\n"
-      "  \"cache_demand_hit\": {\"level\": \"llc\", \"policy\": \"lru\", "
-      "\"accesses_per_sec\": %.1f, "
-      "\"pre_refactor_accesses_per_sec\": %.1f, "
-      "\"speedup_vs_pre_refactor\": %.3f},\n  \"socket\": [\n",
-      epochs, cache_hit.accesses_per_sec, cache_baseline,
-      cache_baseline > 0.0 ? cache_hit.accesses_per_sec / cache_baseline
-                           : 0.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const SocketArmResult& arm = arms[i];
-    std::fprintf(f,
-                 "    {\"prefetchers\": \"%s\", \"lines_per_sec\": %.1f, "
-                 "\"seconds\": %.6f, \"steady_state_allocs\": %llu}%s\n",
-                 arm.prefetchers_on ? "on" : "off", arm.lines_per_sec,
-                 arm.seconds,
-                 static_cast<unsigned long long>(arm.steady_state_allocs),
-                 i + 1 < 2 ? "," : "");
+  if (recovery_arms[0].steady_state_allocs !=
+      recovery_arms[1].steady_state_allocs) {
+    std::fprintf(stderr,
+                 "FAIL: journaling changed the daemon loop's allocation "
+                 "count (bare %llu vs journal %llu); the StateJournal "
+                 "append path must be allocation-free\n",
+                 static_cast<unsigned long long>(
+                     recovery_arms[0].steady_state_allocs),
+                 static_cast<unsigned long long>(
+                     recovery_arms[1].steady_state_allocs));
+    return 1;
   }
-  std::fprintf(f,
-               "  ],\n  \"daemon_fault_overhead\": [\n");
-  for (std::size_t i = 0; i < 2; ++i) {
-    const DaemonArmResult& arm = daemon_arms[i];
-    std::fprintf(
-        f,
-        "    {\"arm\": \"%s\", \"ticks_per_sec\": %.1f, "
-        "\"steady_state_allocs\": %llu}%s\n",
-        arm.with_fault_layer ? "fault_layer_empty_plan" : "bare",
-        arm.ticks_per_sec,
-        static_cast<unsigned long long>(arm.steady_state_allocs),
-        i + 1 < 2 ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"recovery_overhead\": [\n");
-  for (std::size_t i = 0; i < 2; ++i) {
-    const RecoveryArmResult& arm = recovery_arms[i];
-    std::fprintf(
-        f,
-        "    {\"arm\": \"%s\", \"ticks_per_sec\": %.1f, "
-        "\"steady_state_allocs\": %llu, \"journal_appends\": %llu, "
-        "\"journal_compactions\": %llu}%s\n",
-        arm.with_journal ? "journal_every_tick" : "bare", arm.ticks_per_sec,
-        static_cast<unsigned long long>(arm.steady_state_allocs),
-        static_cast<unsigned long long>(arm.journal_appends),
-        static_cast<unsigned long long>(arm.journal_compactions),
-        i + 1 < 2 ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"pre_refactor_lines_per_sec_on\": %.1f,\n"
-               "  \"socket_speedup_vs_pre_refactor\": %.3f\n}\n",
-               socket_baseline,
-               socket_baseline > 0.0
-                   ? arms[0].lines_per_sec / socket_baseline
-                   : 0.0);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (flags.GetBool("check-allocs").value_or(false)) {
-    for (const SocketArmResult& arm : arms) {
-      if (arm.steady_state_allocs != 0) {
-        std::fprintf(stderr,
-                     "FAIL: %llu heap allocations in the steady-state "
-                     "access loop (prefetchers %s); the hot path must be "
-                     "allocation-free\n",
-                     static_cast<unsigned long long>(
-                         arm.steady_state_allocs),
-                     arm.prefetchers_on ? "on" : "off");
-        return 1;
-      }
-    }
-    if (daemon_arms[0].steady_state_allocs !=
-        daemon_arms[1].steady_state_allocs) {
-      std::fprintf(stderr,
-                   "FAIL: the empty-plan fault layer changed the daemon "
-                   "loop's allocation count (bare %llu vs fault layer "
-                   "%llu); the no-fault path must add zero allocations\n",
-                   static_cast<unsigned long long>(
-                       daemon_arms[0].steady_state_allocs),
-                   static_cast<unsigned long long>(
-                       daemon_arms[1].steady_state_allocs));
-      return 1;
-    }
-    if (recovery_arms[0].steady_state_allocs !=
-        recovery_arms[1].steady_state_allocs) {
-      std::fprintf(stderr,
-                   "FAIL: journaling changed the daemon loop's allocation "
-                   "count (bare %llu vs journal %llu); the StateJournal "
-                   "append path must be allocation-free\n",
-                   static_cast<unsigned long long>(
-                       recovery_arms[0].steady_state_allocs),
-                   static_cast<unsigned long long>(
-                       recovery_arms[1].steady_state_allocs));
-      return 1;
-    }
-    std::printf("steady-state allocation check: clean\n");
-  }
+  std::printf("\nsteady-state allocation check: clean\n");
   return 0;
 }
 
@@ -478,10 +353,6 @@ int main(int argc, char** argv) {
   limoncello::FlagParser flags;
   flags.Define("epochs", "timed 100us epochs per arm (default 60, smoke 6)")
       .Define("smoke", "tiny sizes for CI (a few ms)")
-      .Define("json", "output path (default BENCH_socket.json)")
-      .Define("check-allocs", "fail if the steady-state loop allocates")
-      .Define("cache-baseline", "pre-refactor cache headline accesses/sec")
-      .Define("socket-baseline", "pre-refactor socket lines/sec (on-arm)")
       .Define("help", "show this help");
   if (!flags.Parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),

@@ -24,20 +24,19 @@
 // judged on the median pair's ratio; a committed-disabled cell runs the
 // same code either way and is not re-measured tuned. The gate fails if any
 // median ratio falls below the tolerance, or if any Adaptive* entry point
-// heap-allocates at steady state (counted via the interposed operator new
-// below). Writes BENCH_tax.gate.json, with each row's tuning host beside
+// heap-allocates at steady state (counted by perfbench's operator-new
+// probe). Writes BENCH_tax.gate.json, with each row's tuning host beside
 // its committed throughput.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "perfbench/src/common.h"
 #include "softpf/size_class.h"
 #include "softpf/tax_kernel.h"
 #include "tax/adaptive.h"
@@ -49,34 +48,6 @@
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/units.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation probe (same shape as bench_socket): every operator new
-// funnels through CountedAlloc so the gate can assert the Adaptive* entry
-// points are allocation-free at steady state.
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<bool> g_count_allocs{false};
-
-void* CountedAlloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace limoncello::bench {
 namespace {
@@ -122,11 +93,9 @@ std::vector<AllocAudit> AuditAdaptiveAllocs() {
   const auto audit = [&results](const char* name, auto&& fn) {
     fn();  // warm-up: tuned-table install, capacity growth
     fn();
-    g_heap_allocs.store(0);
-    g_count_allocs.store(true);
+    perfbench::AllocCounter::Start();
     for (int i = 0; i < 5; ++i) fn();
-    g_count_allocs.store(false);
-    results.push_back({name, g_heap_allocs.load()});
+    results.push_back({name, perfbench::AllocCounter::Stop()});
   };
 
   audit("memcpy", [&] { AdaptiveMemcpy(a.data(), b.data(), n); });

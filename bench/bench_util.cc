@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "profiling/sampling_profiler.h"
 #include "util/thread_pool.h"
@@ -95,8 +94,7 @@ FleetOptions DefaultFleetOptions(std::uint64_t seed) {
   // SoA machine state and epoch-batched tick loop hold >1M machine-
   // ticks/sec per lane, so 100k machines x 600 ticks completes in about
   // a minute per arm. Benches that only need distribution *shape* (not
-  // population) override num_machines downward; bench_fleet_engine's
-  // sweep pins 1000 machines so its curve stays comparable across PRs.
+  // population) override num_machines downward.
   options.num_machines = 100000;
   options.ticks = 600;
   options.fill = 0.50;
@@ -137,157 +135,6 @@ std::vector<FleetMetrics> RunFleetArms(
   }
   ParallelInvoke(std::move(arms));
   return results;
-}
-
-FleetEngineTiming TimeFleetEngine(const PlatformConfig& platform,
-                                  DeploymentMode mode,
-                                  const ControllerConfig& controller,
-                                  FleetOptions options, int threads) {
-  using Clock = std::chrono::steady_clock;
-  options.num_threads = threads;
-  FleetSimulator sim(platform, mode, controller, options);
-  const auto start = Clock::now();
-  const FleetMetrics metrics = sim.Run();
-  const auto end = Clock::now();
-
-  FleetEngineTiming timing;
-  timing.threads = threads;
-  timing.seconds = std::chrono::duration<double>(end - start).count();
-  timing.machine_ticks = metrics.machine_ticks;
-  timing.machine_ticks_per_sec =
-      timing.seconds > 0.0
-          ? static_cast<double>(timing.machine_ticks) / timing.seconds
-          : 0.0;
-  timing.served_qps_sum = metrics.served_qps_sum;
-  return timing;
-}
-
-bool WriteFleetBenchJson(const std::string& path,
-                         const FleetOptions& options,
-                         const std::vector<FleetEngineTiming>& results,
-                         int hardware_threads,
-                         double serial_baseline_machine_ticks_per_sec,
-                         const FleetEngineTiming* big_run,
-                         const FleetOptions* big_options) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  double serial_rate = 0.0;
-  double rate_4t = 0.0;
-  for (const FleetEngineTiming& r : results) {
-    if (r.threads == 1) serial_rate = r.machine_ticks_per_sec;
-    if (r.threads == 4) rate_4t = r.machine_ticks_per_sec;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"fleet_engine\",\n"
-               "  \"machines\": %d,\n  \"ticks\": %d,\n"
-               "  \"hardware_threads\": %d,\n"
-               "  \"speedup_4t\": %.3f,\n"
-               "  \"serial_baseline_machine_ticks_per_sec\": %.1f,\n"
-               "  \"serial_speedup_vs_baseline\": %.3f,\n"
-               "  \"results\": [\n",
-               options.num_machines, options.ticks, hardware_threads,
-               serial_rate > 0.0 ? rate_4t / serial_rate : 0.0,
-               serial_baseline_machine_ticks_per_sec,
-               serial_baseline_machine_ticks_per_sec > 0.0
-                   ? serial_rate / serial_baseline_machine_ticks_per_sec
-                   : 0.0);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const FleetEngineTiming& r = results[i];
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"seconds\": %.6f, "
-                 "\"machine_ticks\": %llu, "
-                 "\"machine_ticks_per_sec\": %.1f, "
-                 "\"speedup_vs_1t\": %.3f}%s\n",
-                 r.threads, r.seconds,
-                 static_cast<unsigned long long>(r.machine_ticks),
-                 r.machine_ticks_per_sec,
-                 serial_rate > 0.0 ? r.machine_ticks_per_sec / serial_rate
-                                   : 0.0,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]");
-  if (big_run != nullptr && big_options != nullptr) {
-    std::fprintf(f,
-                 ",\n  \"big_run\": {\"machines\": %d, \"ticks\": %d, "
-                 "\"threads\": %d, \"seconds\": %.3f, "
-                 "\"machine_ticks\": %llu, "
-                 "\"machine_ticks_per_sec\": %.1f}",
-                 big_options->num_machines, big_options->ticks,
-                 big_run->threads, big_run->seconds,
-                 static_cast<unsigned long long>(big_run->machine_ticks),
-                 big_run->machine_ticks_per_sec);
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  return true;
-}
-
-CacheBenchResult RunCacheMicrobench(const std::string& level,
-                                    const CacheConfig& config,
-                                    const std::string& scenario,
-                                    std::uint64_t accesses, int reps) {
-  using Clock = std::chrono::steady_clock;
-  const std::uint64_t lines = config.size_bytes / kCacheLineBytes;
-  std::uint64_t working_set = lines / 2;
-  if (scenario == "demand_miss") working_set = lines * 4;
-  if (scenario == "prefetch_fill") working_set = lines * 2;
-
-  // Pre-generated trace so the timed loop measures the cache, not the Rng.
-  Rng rng(0xBE7C5EEDULL);
-  std::vector<Addr> trace(std::size_t{1} << 18);
-  for (Addr& addr : trace) addr = rng.NextBounded(working_set);
-  const bool prefetch_fill = scenario == "prefetch_fill";
-
-  Cache cache(config, level);
-  // Same probe-once sequence the socket hot path uses: the miss probe
-  // from LookupDemand feeds the demand fill, and the buddy prefetch is
-  // filtered and filled off a single probe.
-  auto run_trace = [&](std::uint64_t count) {
-    std::size_t cursor = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const Addr addr = trace[cursor];
-      cursor = cursor + 1 == trace.size() ? 0 : cursor + 1;
-      Cache::ProbeResult probe;
-      if (!cache.LookupDemand(addr, /*is_store=*/false, nullptr, &probe)) {
-        cache.FillAt(probe, addr, /*is_prefetch=*/false, /*dirty=*/false);
-        if (prefetch_fill) {
-          const Addr buddy = addr ^ 1;
-          const Cache::ProbeResult buddy_probe = cache.Probe(buddy);
-          if (!buddy_probe.hit) {
-            cache.FillAt(buddy_probe, buddy, /*is_prefetch=*/true,
-                         /*dirty=*/false);
-          }
-        }
-      }
-    }
-  };
-  // Warm: populate the working set, then one trace pass to steady state.
-  for (Addr addr = 0; addr < working_set && addr < lines; ++addr) {
-    cache.Fill(addr, /*is_prefetch=*/false, /*dirty=*/false);
-  }
-  run_trace(trace.size());
-
-  CacheBenchResult result;
-  result.level = level;
-  result.policy = config.policy == ReplacementPolicy::kLru      ? "lru"
-                  : config.policy == ReplacementPolicy::kRandom ? "random"
-                                                                : "srrip";
-  result.scenario = scenario;
-  result.accesses = accesses;
-  result.seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto start = Clock::now();
-    run_trace(accesses);
-    const auto end = Clock::now();
-    const double seconds =
-        std::chrono::duration<double>(end - start).count();
-    if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
-  }
-  result.accesses_per_sec =
-      result.seconds > 0.0
-          ? static_cast<double>(accesses) / result.seconds
-          : 0.0;
-  return result;
 }
 
 std::vector<CpuBucketRow> BucketByCpu(const FleetMetrics& metrics) {

@@ -4,13 +4,11 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/controller_config.h"
 #include "fleet/fleet_simulator.h"
 #include "profiling/profile.h"
-#include "sim/cache/cache.h"
 #include "sim/machine/socket.h"
 #include "workloads/function_catalog.h"
 
@@ -57,66 +55,6 @@ std::vector<FleetMetrics> RunFleetArms(const PlatformConfig& platform,
                                        const std::vector<DeploymentMode>& modes,
                                        const ControllerConfig& controller,
                                        const FleetOptions& options);
-
-// ---------------------------------------------------------------------------
-// Fleet-engine self-timing (tracked across PRs via BENCH_fleet.json).
-
-struct FleetEngineTiming {
-  int threads = 1;
-  double seconds = 0.0;                 // wall time of Run() only
-  std::uint64_t machine_ticks = 0;
-  double machine_ticks_per_sec = 0.0;
-  double served_qps_sum = 0.0;          // determinism cross-check value
-};
-
-// Constructs the simulator (placement excluded from timing), times Run()
-// wall-clock, and reports machine-ticks/sec at the given thread count.
-FleetEngineTiming TimeFleetEngine(const PlatformConfig& platform,
-                                  DeploymentMode mode,
-                                  const ControllerConfig& controller,
-                                  FleetOptions options, int threads);
-
-// Writes the timing sweep as JSON (one object, results array ordered as
-// given) so CI can diff machine-ticks/sec across PRs. Headline fields:
-// "speedup_4t" (4-thread rate over serial, 0 when either arm is absent)
-// and "serial_speedup_vs_baseline" (serial rate over the pre-SoA
-// engine's recorded rate, so single-core hosts still show the win).
-// hardware_threads records the host so a flat curve on a 1-core CI box
-// is not misread as a regression. big_run, when non-null, is the
-// 100k-machine x 600-tick arm (ROADMAP's fleet-scale target) with its
-// own options in big_options.
-bool WriteFleetBenchJson(const std::string& path,
-                         const FleetOptions& options,
-                         const std::vector<FleetEngineTiming>& results,
-                         int hardware_threads,
-                         double serial_baseline_machine_ticks_per_sec,
-                         const FleetEngineTiming* big_run,
-                         const FleetOptions* big_options);
-
-// ---------------------------------------------------------------------------
-// Cache hot-path microbench (bench_cache / bench_socket, BENCH_socket.json
-// and BENCH_cache.json).
-
-struct CacheBenchResult {
-  std::string level;     // l1 / l2 / llc (geometry label)
-  std::string policy;    // lru / random / srrip
-  std::string scenario;  // demand_hit / demand_miss / prefetch_fill
-  std::uint64_t accesses = 0;
-  double seconds = 0.0;  // best-of-reps wall time of the timed loop
-  double accesses_per_sec = 0.0;
-};
-
-// Runs a deterministic (seeded-Rng) access trace against a cache of the
-// given geometry and returns best-of-`reps` throughput. Scenarios:
-//   demand_hit     working set = half the cache; mostly demand hits —
-//                  the probe/layout-bound case the refactor targets
-//   demand_miss    working set = 4x the cache; miss + victim-pick heavy
-//   prefetch_fill  demand misses each followed by a presence-filtered
-//                  buddy-line prefetch fill (the socket's fill shape)
-CacheBenchResult RunCacheMicrobench(const std::string& level,
-                                    const CacheConfig& config,
-                                    const std::string& scenario,
-                                    std::uint64_t accesses, int reps);
 
 // Buckets machines of a run by their average CPU utilization (10 %-wide
 // buckets, 0-10 .. 100-110) and averages a metric over each bucket.

@@ -40,15 +40,19 @@ bool EndpointController::Apply(ControllerAction action,
     return false;
   }
   // A fresh successful actuation supersedes any backed-off retry.
-  pending_retry_ = ControllerAction::kNone;
-  retry_delay_ticks_ = 1;
+  ClearRetry();
   return true;
 }
 
+void EndpointController::ClearRetry() {
+  pending_retry_ = ControllerAction::kNone;
+  retry_delay_ticks_ = 1;
+  retry_wait_ticks_ = 0;
+}
+
 void EndpointController::Commit(bool enable, PrefetchActuator& actuator) {
-  const bool unchanged = intent_enabled_ == enable;
+  if (intent_enabled_ == enable) return;  // held, or carried by the retry
   intent_enabled_ = enable;
-  if (unchanged && !retry_pending()) return;  // the hardware holds it
   (void)Apply(ActionFor(enable), actuator);
 }
 
@@ -61,8 +65,7 @@ void EndpointController::BeginTick(PrefetchActuator& actuator) {
     return;
   }
   if (Actuate(pending_retry_, actuator)) {
-    pending_retry_ = ControllerAction::kNone;
-    retry_delay_ticks_ = 1;
+    ClearRetry();
     return;
   }
   // Still failing: back off exponentially up to the cap so a persistent
@@ -150,6 +153,12 @@ bool EndpointController::RestoreState(const State& state) {
   // a persisted value at or past it is impossible.
   if (state.consecutive_missed < 0 ||
       state.consecutive_missed >= fsm_.config().max_missed_samples) {
+    return false;
+  }
+  // A pending retry always carries the intent's action (Commit relies on
+  // it).
+  if (state.pending_retry != ControllerAction::kNone &&
+      state.pending_retry != ActionFor(state.intent_enabled)) {
     return false;
   }
   if (state.force_active && state.force_enabled != state.intent_enabled) {

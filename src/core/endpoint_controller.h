@@ -7,12 +7,16 @@
 // decisions through the hysteresis FSM and drives them onto the hardware
 // through the PrefetchActuator the driver passes to each call. It owns
 // everything past input validation:
-//   * The committed intent. While no retry is pending the hardware holds
-//     the intent; after a failed actuation its state is unknown, so the
-//     next decision is sent even when it repeats the last successful one
-//     (this is what heals a partly applied MSR write).
+//   * The committed intent. Every change of intent actuates at once; a
+//     decision that repeats the intent never does. While no retry is
+//     pending the hardware holds the intent. After a failed actuation
+//     its state is unknown, and the pending retry, which always carries
+//     the intent's action, heals it (a partly applied MSR write too); a
+//     repeated decision, fail-safes included, leaves its backoff running.
 //   * Capped-exponential actuation retry: the first retry on the next
-//     tick, then the delay doubles up to retry_backoff_cap_ticks.
+//     tick, then the delay doubles up to retry_backoff_cap_ticks. A
+//     success clears the whole retry state (delay and wait), so every
+//     state the controller exports is one RestoreState accepts.
 //   * The missed-tick fail-safe: max_missed_samples consecutive ticks
 //     without an accepted sample force prefetchers back ON (the hardware
 //     default) and reset the FSM, again every max_missed_samples ticks
@@ -105,9 +109,9 @@ class EndpointController {
 
   // Adopts a snapshot. Every field is validated against the config's
   // invariants (enum ranges, backoff <= cap, counters below their trip
-  // points, a pin that pins its own intent); on any violation nothing
-  // changes and false is returned, so a corrupt journal degrades to a
-  // cold start, never to a controller running impossible state.
+  // points, a retry and a pin that carry the intent); on any violation
+  // nothing changes and false is returned, so a corrupt journal degrades
+  // to a cold start, never to a controller running impossible state.
   bool RestoreState(const State& state);
 
   const HysteresisController& fsm() const { return fsm_; }
@@ -121,7 +125,7 @@ class EndpointController {
   }
 
  private:
-  // Sets the intent and actuates it unless the hardware already holds it.
+  // Sets the intent and actuates it when it changes.
   void Commit(bool enable, PrefetchActuator& actuator);
   // One actuation; on failure arms the retry.
   bool Apply(ControllerAction action, PrefetchActuator& actuator);
@@ -129,6 +133,8 @@ class EndpointController {
   bool Actuate(ControllerAction action, PrefetchActuator& actuator);
   // Records a fresh actuation failure and arms the first retry.
   void ArmRetry(ControllerAction action);
+  // No retry pending, backoff back at its first step.
+  void ClearRetry();
 
   HysteresisController fsm_;  // holds the config too
   Stats stats_;

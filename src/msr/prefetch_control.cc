@@ -102,30 +102,21 @@ std::optional<bool> PrefetchControl::EngineEnabled(int cpu,
 }
 
 std::optional<bool> PrefetchControl::AllEnabled() {
-  bool any_read = false;
-  for (int cpu = first_cpu_; cpu < first_cpu_ + num_cpus_; ++cpu) {
-    for (int e = 0; e < kNumPrefetchEngines; ++e) {
-      const auto enabled =
-          EngineEnabled(cpu, static_cast<PrefetchEngine>(e));
-      if (!enabled.has_value()) continue;
-      any_read = true;
-      if (!*enabled) return false;
-    }
-  }
-  if (!any_read) return std::nullopt;
-  return true;
+  return AllEngineBitsEqual(map_.set_bit_disables ? 0 : map_.engine_mask);
 }
 
 std::optional<bool> PrefetchControl::AllDisabled() {
+  return AllEngineBitsEqual(map_.set_bit_disables ? map_.engine_mask : 0);
+}
+
+std::optional<bool> PrefetchControl::AllEngineBitsEqual(
+    std::uint64_t pattern) {
   bool any_read = false;
   for (int cpu = first_cpu_; cpu < first_cpu_ + num_cpus_; ++cpu) {
-    for (int e = 0; e < kNumPrefetchEngines; ++e) {
-      const auto enabled =
-          EngineEnabled(cpu, static_cast<PrefetchEngine>(e));
-      if (!enabled.has_value()) continue;
-      any_read = true;
-      if (*enabled) return false;
-    }
+    const auto value = device_->Read(cpu, map_.reg);
+    if (!value.has_value()) continue;
+    any_read = true;
+    if ((*value & map_.engine_mask) != pattern) return false;
   }
   if (!any_read) return std::nullopt;
   return true;

@@ -62,8 +62,8 @@ class PrefetchControl {
   [[nodiscard]] int EnableAll();
   [[nodiscard]] int SetEngine(PrefetchEngine engine, bool enabled);
 
-  // True iff every engine is enabled on every (readable) CPU. nullopt if no
-  // CPU could be read.
+  // True iff every engine is enabled (disabled) on every readable CPU;
+  // nullopt if no CPU could be read. Each CPU's register is read once.
   std::optional<bool> AllEnabled();
   std::optional<bool> AllDisabled();
 
@@ -74,6 +74,8 @@ class PrefetchControl {
 
  private:
   int ApplyToAllCpus(std::uint64_t clear_mask, std::uint64_t set_mask);
+  // Whether the engine bits of every readable CPU equal `pattern`.
+  std::optional<bool> AllEngineBitsEqual(std::uint64_t pattern);
 
   MsrDevice* device_;
   PrefetchMsrMap map_;

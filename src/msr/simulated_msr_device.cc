@@ -41,6 +41,7 @@ SimulatedMsrDevice::RegisterFile* SimulatedMsrDevice::FindOrCreateFile(
 
 std::optional<std::uint64_t> SimulatedMsrDevice::Read(int cpu,
                                                       MsrRegister reg) {
+  ++read_count_;
   if (!CpuOk(cpu)) return std::nullopt;
   const RegisterFile* file = FindFile(reg);
   // Unwritten registers read as zero, matching the "all prefetchers

@@ -39,9 +39,11 @@ class SimulatedMsrDevice : public MsrDevice {
   // reset is silent, which is exactly what makes reboots dangerous).
   void ResetToPowerOn();
 
-  // Test introspection: value last written (0 if never), write count.
+  // Test introspection: value last written (0 if never), write and read
+  // counts (failed calls included).
   std::uint64_t PeekRaw(int cpu, MsrRegister reg) const;
   std::uint64_t write_count() const { return write_count_; }
+  std::uint64_t read_count() const { return read_count_; }
 
  private:
   // One written register across all CPUs. A daemon touches exactly one
@@ -65,6 +67,7 @@ class SimulatedMsrDevice : public MsrDevice {
   std::vector<bool> failed_;
   std::vector<WriteObserver> observers_;
   std::uint64_t write_count_ = 0;
+  std::uint64_t read_count_ = 0;
 };
 
 }  // namespace limoncello

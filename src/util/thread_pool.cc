@@ -29,10 +29,8 @@ inline void SpinPause(int spin) {
 // Default spin budget before falling back to a condition-variable sleep.
 // Small on purpose: past this point the other side is not imminent and a
 // futex sleep is cheaper than further yielding. Tunable via
-// SetSpinBudgetUs / LIMONCELLO_SPIN_US (see thread_pool.h).
+// LIMONCELLO_SPIN_US (see thread_pool.h).
 constexpr int kDefaultSpinBudgetUs = 50;
-
-std::atomic<int> g_spin_budget_us{-1};
 
 // Spins until pred() holds or the budget expires; returns pred()'s final
 // value. The clock is only consulted every 32 iterations so the fast
@@ -93,15 +91,9 @@ void SetDefaultThreadCount(int count) {
 }
 
 int ResolveSpinBudgetUs() {
-  const int overridden = g_spin_budget_us.load(std::memory_order_relaxed);
-  if (overridden >= 0) return overridden;
   const int env = EnvSpinBudgetUs();
   if (env >= 0) return env;
   return kDefaultSpinBudgetUs;
-}
-
-void SetSpinBudgetUs(int us) {
-  g_spin_budget_us.store(us < 0 ? -1 : us, std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {

@@ -43,14 +43,9 @@ void SetDefaultThreadCount(int count);
 // to a condition-variable sleep. Bigger budgets absorb longer gaps
 // between jobs without a futex round trip (lower barrier latency, more
 // busy CPU); 0 sleeps immediately (kindest to oversubscribed hosts).
-// Resolution order: SetSpinBudgetUs(>= 0) > LIMONCELLO_SPIN_US env >
-// built-in default (50 us). See DESIGN.md §12 for the tradeoff.
+// Resolution order: LIMONCELLO_SPIN_US env > built-in default (50 us).
+// See DESIGN.md §12 for the tradeoff.
 int ResolveSpinBudgetUs();
-
-// Process-wide override for ResolveSpinBudgetUs; tools wire their
-// --spin-us flag through this. Negative clears the override (back to the
-// environment / default).
-void SetSpinBudgetUs(int us);
 
 class ThreadPool {
  public:

@@ -187,6 +187,10 @@ TEST(ControllerEquivalenceTest, TelemetryGapDuringAnActuationOutage) {
   ExpectEquivalent(trace);
   const Outcome daemon = RunDaemon(trace);
   EXPECT_GE(daemon.failsafes, 4u);
+  // Each fail-safe repeats the committed intent (enable), which the
+  // pending retry already carries, so the retry keeps its backoff: 14
+  // actuator calls, where re-arming the retry at delay 1 made 23.
+  EXPECT_EQ(daemon.calls.size(), 14u);
 }
 
 }  // namespace

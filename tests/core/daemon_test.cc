@@ -275,9 +275,41 @@ TEST(DaemonTest, RestoreRejectsStatesViolatingConfigInvariants) {
   bad.consecutive_missed = 3;
   EXPECT_FALSE(daemon.RestoreState(bad));
 
+  bad = {};  // a retry that contradicts the intent (enabled)
+  bad.pending_retry = ControllerAction::kDisablePrefetchers;
+  EXPECT_FALSE(daemon.RestoreState(bad));
+
   // Nothing was adopted: the daemon is still at its cold-start state.
   EXPECT_EQ(daemon.stats().warm_restores, 0u);
   EXPECT_EQ(daemon.controller().state(), ControllerState::kEnabledSteady);
+}
+
+TEST(DaemonTest, RestoreAcceptsEveryExportedState) {
+  // Disables fail and enables succeed, so an enable lands while a disable
+  // retry is backed off. A success that reset the backoff delay but kept
+  // the wait countdown exported a state its own restore rejected.
+  struct DisablesFail : PrefetchActuator {
+    bool DisablePrefetchers() override { return false; }
+    bool EnablePrefetchers() override { return true; }
+  } actuator;
+  ControllerConfig config = FastConfig();
+  config.sustain_duration_ns = config.tick_period_ns;
+  config.retry_backoff_cap_ticks = 8;
+  FakeTelemetry telemetry;
+  for (int block = 0; block < 4; ++block) {
+    telemetry.PushN(0.9, 3);
+    telemetry.PushN(0.4, 3);
+  }
+  LimoncelloDaemon daemon(config, &telemetry, &actuator);
+  for (int t = 0; t < 24; ++t) {
+    daemon.RunTick(t * kNsPerSec);
+    FakeTelemetry fresh_telemetry;
+    FakeActuator fresh_actuator;
+    LimoncelloDaemon fresh(config, &fresh_telemetry, &fresh_actuator);
+    EXPECT_TRUE(fresh.RestoreState(daemon.ExportState())) << "tick " << t;
+  }
+  EXPECT_GT(daemon.stats().actuation_failures.value(), 0u);
+  EXPECT_GT(daemon.controller().toggle_count(), 2u);
 }
 
 TEST(DaemonTest, ReconcileWithoutReadbackIsUnknown) {
@@ -335,7 +367,7 @@ TEST(DaemonTest, MsrActuatorPartialFailureRetries) {
   telemetry.set_fallback(0.95);
   daemon.RunTick(0);
   daemon.RunTick(kNsPerSec);
-  EXPECT_GT(daemon.stats().actuation_failures, 0u);
+  EXPECT_GT(daemon.stats().actuation_failures.value(), 0u);
   // The core comes back; a later tick's retry completes the disable.
   device.UnfailCpu(3);
   daemon.RunTick(2 * kNsPerSec);

@@ -59,6 +59,15 @@ TEST_P(PrefetchControlTest, PerEngineToggle) {
   EXPECT_EQ(control_.AllEnabled(), true);
 }
 
+TEST_P(PrefetchControlTest, ReadbackReadsEachRegisterOnce) {
+  ASSERT_EQ(control_.DisableAll(), 4);
+  const std::uint64_t before = dev_.read_count();
+  EXPECT_EQ(control_.AllDisabled(), true);
+  EXPECT_EQ(dev_.read_count(), before + 4);
+  EXPECT_EQ(control_.AllEnabled(), false);  // stops at the first CPU
+  EXPECT_EQ(dev_.read_count(), before + 5);
+}
+
 TEST_P(PrefetchControlTest, PartialCpuFailureReported) {
   dev_.FailCpu(2);
   EXPECT_EQ(control_.DisableAll(), 3);

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "control/control_plane.h"
@@ -95,7 +96,8 @@ bool ValidateConfigOrLog(const ControllerConfig& config) {
   return false;
 }
 
-// Wraps an actuator to log (and optionally suppress) MSR writes.
+// Wraps an actuator to log (and optionally suppress) MSR writes. A dry
+// run never calls `inner`, which may then be null.
 class LoggingActuator : public PrefetchActuator {
  public:
   LoggingActuator(PrefetchActuator* inner, bool dry_run)
@@ -646,11 +648,16 @@ int RunReal(const FlagParser& flags) {
         "re-run with --dry-run to test the control loop");
     return 3;
   }
-  const int cpus = device.available() ? device.num_cpus() : 1;
-  PrefetchControl control(&device, PlatformMsrLayout::kIntelStyle, 0,
-                          std::max(1, cpus));
-  MsrPrefetchActuator msr_actuator(&control, std::max(1, cpus));
-  LoggingActuator actuator(&msr_actuator, dry_run);
+  // A dry run never calls the inner actuator, so without MSR access it
+  // builds none.
+  const int cpus = device.num_cpus();
+  std::optional<PrefetchControl> control;
+  std::optional<MsrPrefetchActuator> msr_actuator;
+  if (device.available()) {
+    control.emplace(&device, PlatformMsrLayout::kIntelStyle, 0, cpus);
+    msr_actuator.emplace(&*control, cpus);
+  }
+  LoggingActuator actuator(msr_actuator ? &*msr_actuator : nullptr, dry_run);
 
   std::unique_ptr<UtilizationSource> telemetry;
   std::string telemetry_desc;
