@@ -83,8 +83,8 @@ SocketArmResult RunSocketArm(bool prefetchers_on, int epochs) {
   socket.SetAllPrefetchersEnabled(prefetchers_on);
   AttachWorkloads(&socket, 0x50C7);
 
-  // Warm-up: trains the prefetch engines, fills the caches, and grows
-  // every scratch buffer to its steady-state capacity.
+  // Warm-up: trains the prefetch engines and fills the caches. The
+  // prefetch scratch is reserved at construction, not grown here.
   for (int epoch = 0; epoch < 12; ++epoch) socket.Step(100 * kNsPerUs);
 
   const PmuCounters warm = socket.counters();

@@ -78,14 +78,23 @@ PushResult ControlPlane::IngestFrame(const unsigned char* data,
     endpoint_id = LoadU32(data + kTelemetryBatchHeaderBytes);
   }
   Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  return shard.queue.PushTelemetry(data, size, enqueue_time_ns);
+  const PushResult result =
+      shard.queue.PushTelemetry(data, size, enqueue_time_ns);
+  if (result != PushResult::kRejected) {
+    shard.pending.store(true, std::memory_order_release);
+  }
+  return result;
 }
 
 PushResult ControlPlane::SubmitCommand(const ControlCommand& command,
                                        std::uint64_t enqueue_time_ns) {
   Shard& shard =
       *shards_[static_cast<std::size_t>(ShardOf(command.endpoint_id))];
-  return shard.queue.PushCommand(command, enqueue_time_ns);
+  const PushResult result = shard.queue.PushCommand(command, enqueue_time_ns);
+  if (result != PushResult::kRejected) {
+    shard.pending.store(true, std::memory_order_release);
+  }
+  return result;
 }
 
 ControlPlane::EndpointState& ControlPlane::StateFor(
@@ -153,6 +162,10 @@ int ControlPlane::DrainShard(int shard_index, std::uint64_t /*now_ns*/) {
   LIMONCELLO_DCHECK(shard_index >= 0 &&
                     shard_index < options_.num_shards);
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
+  // Cleared before the first pop, with acquire: a push that raced past
+  // the clear either lands in this drain's pops or has set the flag
+  // again for the next drain, so no queued message is ever stranded.
+  (void)shard.pending.exchange(false, std::memory_order_acquire);
   ControlMessage message;
   TelemetryBatch batch;
   int consumed = 0;
@@ -178,6 +191,10 @@ int ControlPlane::DrainShard(int shard_index, std::uint64_t /*now_ns*/) {
 int ControlPlane::DrainAll(std::uint64_t now_ns) {
   int consumed = 0;
   for (int s = 0; s < options_.num_shards; ++s) {
+    if (!shards_[static_cast<std::size_t>(s)]->pending.load(
+            std::memory_order_acquire)) {
+      continue;
+    }
     consumed += DrainShard(s, now_ns);
   }
   return consumed;

@@ -12,6 +12,9 @@
 //   (transport)   shard 1 [BoundedControlQueue]─► drain ─► FSMs ─► actuate
 //       ...          ...
 //
+//   * Draining is decoupled from the tick: DrainAll skips shards with
+//     nothing queued, so an owner can drain after every transport poll
+//     (limoncellod --listen does) and keep AdvanceTick on its clock.
 //   * Endpoints are statically partitioned across shards by a
 //     deterministic hash. A frame's shard is computed from a fixed-
 //     offset peek at the endpoint id — no decode, no lock.
@@ -40,6 +43,7 @@
 #ifndef LIMONCELLO_CONTROL_CONTROL_PLANE_H_
 #define LIMONCELLO_CONTROL_CONTROL_PLANE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -148,7 +152,14 @@ class ControlPlane {
   // call for different shards concurrently.
   int DrainShard(int shard, std::uint64_t now_ns);
 
-  // Serial convenience: drains every shard in shard order.
+  // Serial convenience: drains every shard that has had a push since its
+  // last drain, in shard order. A shard with nothing queued costs one
+  // atomic load and takes no lock, so an owner may call this after every
+  // transport poll (limoncellod --listen does) as cheaply as once per
+  // tick. Draining early changes no telemetry decision: a frame's
+  // samples reach its controller in queue order under the same tick_
+  // either way. (A command pops ahead of telemetry queued before it, so
+  // its order relative to those frames does depend on the cadence.)
   int DrainAll(std::uint64_t now_ns);
 
   // Advances the plane's tick. For every endpoint it first closes the
@@ -218,6 +229,9 @@ class ControlPlane {
   // is guarded by its own mutex; no path takes two shard locks.
   struct Shard {
     BoundedControlQueue queue;
+    // Set after every accepted push, cleared by DrainShard before its
+    // first pop: false means the queue has nothing DrainAll must drain.
+    std::atomic<bool> pending{false};
     Mutex mu;
     std::vector<EndpointState> endpoints LIMONCELLO_GUARDED_BY(mu);
     // Ingest, decode and command counters; the controller counters live

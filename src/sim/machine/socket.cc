@@ -35,19 +35,33 @@ Socket::Socket(const SocketConfig& config, std::size_t num_functions,
       core.l2_stream = std::make_unique<StreamPrefetcher>(config.stream);
     }
     core.l2_adjacent = std::make_unique<AdjacentLinePrefetcher>();
+    // Each access's worst-case burst, so the scratch never grows in the
+    // access loop: the DCU streamer's next line plus `degree` IP-stride
+    // lines at L1; the L2 engine's lines (`degree` for the stream
+    // detector, one for best-offset) plus the adjacent line at L2.
+    core.l1_prefetch_scratch.reserve(
+        1 + static_cast<std::size_t>(config.ip_stride.degree));
+    core.l2_prefetch_scratch.reserve(
+        (config.use_best_offset_l2
+             ? 1
+             : static_cast<std::size_t>(config.stream.degree)) +
+        1);
   }
   msr_.AddWriteObserver([this](int cpu, MsrRegister reg,
                                std::uint64_t value) {
     ApplyMsrWrite(cpu, reg, value);
   });
   // Power-on state: all engines enabled. On enable-bit layouts the MSR
-  // bits must be set to match (the register file zero-initializes).
-  if (!msr_map_.set_bit_disables) {
-    for (int cpu = 0; cpu < config_.num_cores; ++cpu) {
-      // The device was just constructed with no failed CPUs, so the
-      // power-on writes cannot fail.
-      LIMONCELLO_CHECK(msr_.Write(cpu, msr_map_.reg, msr_map_.engine_mask));
-    }
+  // bits must be set to match (the register file zero-initializes). The
+  // write is made on disable-bit layouts too, where it stores the zero a
+  // read already returns: it creates the device's register file here,
+  // not on the first toggle inside the access loop.
+  const std::uint64_t power_on =
+      msr_map_.set_bit_disables ? 0 : msr_map_.engine_mask;
+  for (int cpu = 0; cpu < config_.num_cores; ++cpu) {
+    // The device was just constructed with no failed CPUs, so the
+    // power-on writes cannot fail.
+    LIMONCELLO_CHECK(msr_.Write(cpu, msr_map_.reg, power_on));
   }
 }
 

@@ -171,8 +171,9 @@ class Socket {
     bool exhausted = false;
     std::uint64_t active_cycles = 0;
     std::uint64_t instructions = 0;
-    // Scratch buffers reused across accesses so the steady-state access
-    // loop never allocates (bench_socket --check-allocs enforces this).
+    // Scratch buffers reused across accesses, reserved at construction
+    // for the largest burst the engines can propose, so the access loop
+    // never allocates (bench_socket's steady-state check enforces this).
     // L1 and L2 engine output need separate buffers: AccessBelowL1 runs
     // (and fills l2_prefetch_scratch) while ProcessAccess still holds
     // unissued prefetches in l1_prefetch_scratch.

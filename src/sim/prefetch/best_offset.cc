@@ -71,8 +71,7 @@ void BestOffsetPrefetcher::Observe(const PrefetchObservation& obs,
 
   // Prefetch with the offset selected by the previous round.
   if (current_offset_ > 0) {
-    // The socket's reusable scratch vector keeps its capacity across
-    // ticks, so steady-state pushes never reallocate.
+    // Reserved scratch (see DcuStreamerPrefetcher::Observe).
     out->push_back(  // limolint:allow(hot-path-alloc)
         obs.line_addr + static_cast<Addr>(current_offset_));
     CountIssued(1);

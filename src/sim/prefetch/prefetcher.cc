@@ -9,8 +9,8 @@ namespace limoncello {
 
 void DcuStreamerPrefetcher::Observe(const PrefetchObservation& obs,
                                     std::vector<Addr>* out) {
-  // The socket's reusable scratch vector keeps its capacity across ticks,
-  // so steady-state pushes never reallocate.
+  // The socket reserves its scratch vectors for the engines' largest
+  // burst at construction, so these pushes never reallocate.
   out->push_back(obs.line_addr + 1);  // limolint:allow(hot-path-alloc)
   CountIssued(1);
 }

@@ -91,7 +91,7 @@ int SocketListener::PollOnce(int timeout_ms, std::uint64_t now_ns) {
   listener_entry.events = POLLIN;
   pollfds_.push_back(listener_entry);
   pollfd_slot_.push_back(-1);
-  for (int slot = 0; slot < static_cast<int>(slots_.size()); ++slot) {
+  for (int slot = 0; slot < slot_limit_; ++slot) {
     Connection* conn = slots_[static_cast<std::size_t>(slot)].get();
     if (conn == nullptr || conn->fd < 0) continue;
     pollfd entry{};
@@ -182,6 +182,7 @@ void SocketListener::Accept() {
                                std::size_t size) {
       DeliverFrame(slot, frame, size, deliver_now_ns_);
     };
+    if (slot >= slot_limit_) slot_limit_ = slot + 1;
     ++live_connections_;
     ++stats_.accepts;
   }

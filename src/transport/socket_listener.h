@@ -137,6 +137,10 @@ class SocketListener {
   std::uint16_t bound_port_ = 0;
   int live_connections_ = 0;
   std::vector<std::unique_ptr<Connection>> slots_;
+  // One past the highest slot ever accepted into. Accept fills the
+  // lowest free slot, so every live connection sits below it and
+  // PollOnce scans no further.
+  int slot_limit_ = 0;
   // endpoint id -> slot index, -1 when unrouted.
   std::vector<int> route_;
   std::vector<pollfd> pollfds_;

@@ -1,12 +1,17 @@
 // ControlPlane semantics: routing, sequence rejection, staleness
-// fail-safe, actuation retry, force commands, warm restart, and the
-// bit-identical-across-thread-counts drain contract.
+// fail-safe, actuation retry, force commands, warm restart, the
+// bit-identical-across-thread-counts drain contract, and drain cadence
+// (DrainAll's pending flags, per-tick vs per-message drains).
 #include "control/control_plane.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "control/telemetry_batch.h"
@@ -446,6 +451,181 @@ TEST(ControlPlaneTest, SingleEndpointMatchesBareController) {
   const EndpointPersistentState exported = plane.ExportEndpoint(0);
   EXPECT_EQ(exported.toggle_count, reference.toggle_count());
   EXPECT_EQ(exported.timer_ns, reference.timer_ns());
+}
+
+// The pending-flag handshake under contention. A producer pushes one
+// frame at a time and waits for the drainer, which calls DrainAll in a
+// loop, to pop it before pushing the next, so every push races the end
+// of the drain that popped its predecessor. A push that lands after a
+// drain's last pop must leave its shard flagged for the next DrainAll;
+// if the flag could be cleared after that push, the frame would sit in
+// the queue with nothing left to flag it, and the producer would wait
+// out its deadline.
+TEST(ControlPlaneTest, DrainAllStrandsNoConcurrentPush) {
+  constexpr int kFrames = 20000;
+  FakeFleet fleet(1);
+  ControlPlane plane(SmallPlane(1, 1), fleet.Hook());
+  std::atomic<bool> done{false};
+  int stranded_at = -1;
+  ThreadPool pool(2);
+  pool.ParallelFor(0, 2, [&](std::int64_t task) {
+    if (task == 1) {
+      while (!done.load()) {
+        if (plane.DrainAll(0) == 0) ::sched_yield();
+      }
+      return;
+    }
+    for (int i = 0; i < kFrames && stranded_at < 0; ++i) {
+      SendBatch(plane, 0, static_cast<std::uint64_t>(i + 1), 0.70);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (plane.SnapshotQueueCounters().telemetry_popped.value() <=
+             static_cast<std::uint64_t>(i)) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          stranded_at = i;
+          break;
+        }
+        ::sched_yield();  // one core may be running both tasks
+      }
+    }
+    done.store(true);
+  });
+  EXPECT_EQ(stranded_at, -1) << "frame " << stranded_at << " was stranded";
+  EXPECT_EQ(plane.SnapshotStats().samples_accepted.value(),
+            static_cast<std::uint64_t>(kFrames));
+}
+
+// limoncellod --listen drains after every transport poll rather than
+// once per tick. One recorded message sequence is fed to two planes:
+// plane A queues each tick's messages and drains once, plane B drains
+// after every message; both advance the tick at the same points. The
+// sequence has crossings both ways, duplicate and stale frames, an
+// actuator outage that makes retries fire, an endpoint whose silence
+// trips the fail-safe, and force commands. Every shard stays below its
+// backpressure watermark, so nothing is shed and the queue counters
+// match too. Only the global actuation order may differ (shard order vs
+// arrival order); each endpoint's own sequence may not.
+TEST(ControlPlaneTest, DrainCadenceDoesNotChangeDecisions) {
+  constexpr int kEndpoints = 16;
+  constexpr int kTicks = 48;
+  constexpr std::uint32_t kFlaky = 3;    // actuator down for ticks 6-13
+  constexpr std::uint32_t kSilent = 0;   // no telemetry for ticks 14-23
+  constexpr std::uint32_t kPinned = 9;   // forced off for ticks 20-29
+
+  struct Message {
+    bool command = false;
+    ControlCommand cmd;
+    TelemetryBatch batch;
+  };
+  // The recording: per tick, the messages in arrival order. A command is
+  // the first message of its tick: the queue pops commands ahead of
+  // telemetry, so one queued behind frames would reach its endpoint
+  // before them under a per-tick drain and after them under a per-frame
+  // drain.
+  std::vector<std::vector<Message>> ticks(kTicks);
+  Rng rng(26);
+  std::vector<std::uint64_t> sequence(kEndpoints, 0);
+  for (int t = 0; t < kTicks; ++t) {
+    std::vector<Message>& out = ticks[static_cast<std::size_t>(t)];
+    if (t == 20 || t == 30) {
+      Message m;
+      m.command = true;
+      m.cmd.endpoint_id = kPinned;
+      m.cmd.kind =
+          t == 20 ? CommandKind::kForceDisable : CommandKind::kClearForce;
+      out.push_back(m);
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (std::uint32_t e = 0; e < kEndpoints; ++e) {
+        if (e == kSilent && t >= 14 && t < 24) continue;
+        if (round == 1 && rng.NextBounded(3) != 0) continue;
+        // Five-tick phases alternate above the upper threshold and
+        // below the lower one, offset per endpoint. kSilent goes quiet
+        // in a high phase, so its fail-safe has prefetchers to re-enable.
+        const bool high = ((t + 3 * static_cast<int>(e)) / 5) % 2 == 0;
+        Message m;
+        m.batch.endpoint_id = e;
+        m.batch.sequence = ++sequence[e];
+        m.batch.num_samples = 1 + static_cast<std::uint32_t>(
+                                      rng.NextBounded(3));
+        for (std::uint32_t i = 0; i < m.batch.num_samples; ++i) {
+          m.batch.utilization[i] =
+              high ? rng.NextDouble(0.85, 0.99) : rng.NextDouble(0.1, 0.5);
+        }
+        out.push_back(m);
+        // A duplicate of this frame, and a stale replay of an earlier one.
+        if (rng.NextBounded(8) == 0) out.push_back(m);
+        if (m.batch.sequence > 2 && rng.NextBounded(8) == 0) {
+          Message stale = m;
+          stale.batch.sequence -= 2;
+          out.push_back(stale);
+        }
+      }
+    }
+  }
+
+  struct Outcome {
+    // Per endpoint: (tick, enable, succeeded) for every actuator call.
+    std::vector<std::vector<std::tuple<int, bool, bool>>> actuations;
+    ControlPlane::Stats stats;
+    BoundedControlQueue::Counters queue;
+    std::vector<EndpointPersistentState> states;
+  };
+  auto run = [&ticks](bool drain_per_message) {
+    Outcome outcome;
+    outcome.actuations.resize(kEndpoints);
+    int tick = 0;
+    ControlPlane plane(
+        SmallPlane(kEndpoints, 4),
+        [&outcome, &tick](std::uint32_t id, bool enable) {
+          const bool ok = !(id == kFlaky && tick >= 6 && tick < 14);
+          outcome.actuations[id].emplace_back(tick, enable, ok);
+          return ok;
+        });
+    unsigned char frame[kMaxTelemetryFrameBytes];
+    for (tick = 0; tick < kTicks; ++tick) {
+      for (const Message& m : ticks[static_cast<std::size_t>(tick)]) {
+        const PushResult pushed =
+            m.command ? plane.SubmitCommand(m.cmd, 0)
+                      : plane.IngestFrame(
+                            frame, EncodeTelemetryBatch(m.batch, frame), 0);
+        EXPECT_EQ(pushed, PushResult::kOk);
+        if (drain_per_message) plane.DrainAll(0);
+      }
+      plane.DrainAll(0);
+      plane.AdvanceTick();
+    }
+    outcome.stats = plane.SnapshotStats();
+    outcome.queue = plane.SnapshotQueueCounters();
+    outcome.states = plane.ExportAllEndpoints();
+    return outcome;
+  };
+
+  const Outcome per_tick = run(false);
+  const Outcome per_message = run(true);
+  for (std::uint32_t e = 0; e < kEndpoints; ++e) {
+    EXPECT_EQ(per_tick.actuations[e], per_message.actuations[e]) << e;
+  }
+  EXPECT_TRUE(per_tick.stats == per_message.stats);
+  EXPECT_TRUE(per_tick.queue == per_message.queue);
+  EXPECT_TRUE(per_tick.states == per_message.states);
+
+  // The recording exercised every path it claims to.
+  const ControlPlane::Stats& s = per_tick.stats;
+  EXPECT_GT(s.disables.value(), 0u);
+  EXPECT_GT(s.enables.value(), 0u);
+  EXPECT_GT(s.sequence_rejects.value(), 0u);
+  EXPECT_GT(s.actuation_failures.value(), 1u);  // the first try, then retries
+  EXPECT_GT(s.retry_backoff_skips.value(), 0u);
+  EXPECT_GT(s.stale_endpoint_failsafes.value(), 0u);
+  bool failsafe_enable = false;
+  for (const auto& [tick, enable, ok] : per_tick.actuations[kSilent]) {
+    failsafe_enable |= tick >= 14 && tick < 24 && enable;
+  }
+  EXPECT_TRUE(failsafe_enable);
+  EXPECT_EQ(s.commands_applied.value(), 2u);
+  EXPECT_EQ(s.frames_shed.value(), 0u);
+  EXPECT_EQ(s.backpressure_signals.value(), 0u);
 }
 
 }  // namespace

@@ -5,13 +5,15 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_temp_path.h"
+
 namespace limoncello {
 namespace {
 
 class FileSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/membw_sample.txt";
+    path_ = TestTempPath("membw_sample.txt");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_temp_path.h"
+
 namespace limoncello {
 namespace {
 
@@ -82,7 +84,7 @@ TEST(ParsePerfCsvTest, CustomEventNames) {
 }
 
 TEST(PerfCsvUtilizationSourceTest, EndToEndFromFile) {
-  const std::string path = ::testing::TempDir() + "/perf_test.csv";
+  const std::string path = TestTempPath("perf_test.csv");
   {
     std::ofstream out(path);
     out << "3.0,51200.00,MiB,uncore_imc/data_reads/,100,100.0\n"

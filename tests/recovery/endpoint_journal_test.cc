@@ -12,6 +12,7 @@
 #include "control/control_plane.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/state_journal.h"
+#include "test_temp_path.h"
 #include "util/crc32.h"
 #include "util/wire.h"
 
@@ -19,8 +20,7 @@ namespace limoncello {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+  const std::string path = TestTempPath(name);
   std::error_code ec;
   std::filesystem::remove(path, ec);  // a fresh file per test
   return path;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/daemon.h"
+#include "test_temp_path.h"
 
 namespace limoncello {
 namespace {
@@ -76,8 +77,7 @@ ControllerConfig FastConfig() {
 }
 
 std::string TempPath(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+  const std::string path = TestTempPath(name);
   std::error_code ec;
   std::filesystem::remove(path, ec);
   return path;

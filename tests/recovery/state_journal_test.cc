@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "recovery/recovery_manager.h"
+#include "test_temp_path.h"
 
 namespace limoncello {
 namespace {
@@ -21,8 +22,7 @@ namespace {
 using PersistentState = LimoncelloDaemon::PersistentState;
 
 std::string TempPath(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+  const std::string path = TestTempPath(name);
   std::error_code ec;
   std::filesystem::remove(path, ec);  // a fresh file per test
   return path;

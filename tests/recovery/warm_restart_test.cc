@@ -14,6 +14,7 @@
 
 #include "core/daemon.h"
 #include "recovery/recovery_manager.h"
+#include "test_temp_path.h"
 
 namespace limoncello {
 namespace {
@@ -72,8 +73,7 @@ ControllerConfig FastConfig() {
 }
 
 std::string TempPath(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+  const std::string path = TestTempPath(name);
   std::error_code ec;
   std::filesystem::remove(path, ec);
   return path;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "limolint_callgraph.h"
+#include "test_temp_path.h"
 
 #include <gtest/gtest.h>
 
@@ -390,8 +391,7 @@ TEST(LimolintJson, FindingsRoundTripThroughABaselineFile) {
       Analyze({{"bad_hot_alloc.cc", "src/fleet/bad_hot_alloc.cc"},
                {"bad_lock_cycle.cc", "src/fleet/bad_lock_cycle.cc"}});
   ASSERT_FALSE(findings.empty());
-  const std::string path =
-      testing::TempDir() + "/limolint_roundtrip.json";
+  const std::string path = TestTempPath("limolint_roundtrip.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << FindingsJson(findings);
@@ -423,7 +423,7 @@ TEST(LimolintJson, BaselineEntriesAbsorbAtMostOneFindingEach) {
 }
 
 TEST(LimolintJson, MalformedBaselineIsRejected) {
-  const std::string path = testing::TempDir() + "/limolint_bad.json";
+  const std::string path = TestTempPath("limolint_bad.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << "{\"version\":1,\"findings\":[{\"file\":\"a\",";  // truncated
@@ -431,7 +431,7 @@ TEST(LimolintJson, MalformedBaselineIsRejected) {
   std::vector<Finding> baseline;
   EXPECT_FALSE(LoadBaselineFile(path, &baseline));
   EXPECT_TRUE(baseline.empty());
-  EXPECT_FALSE(LoadBaselineFile(testing::TempDir() + "/does_not_exist.json",
+  EXPECT_FALSE(LoadBaselineFile(TestTempPath("does_not_exist.json"),
                                 &baseline));
 }
 

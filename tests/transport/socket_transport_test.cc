@@ -54,7 +54,9 @@ ExporterClient::Options ClientOptions(const SocketAddress& address,
   return options;
 }
 
-// One plane + listener pair wired the way RunListen wires them.
+// One plane + listener pair wired the way RunListen wires them, and
+// turned the way it turns them: every poll is followed by a drain, so a
+// frame reaches its FSM in the turn that reads it; the tick is separate.
 struct PlaneUnderTest {
   explicit PlaneUnderTest(const SocketAddress& address, int endpoints) {
     SocketListener::Options lo;
@@ -68,7 +70,8 @@ struct PlaneUnderTest {
     listener->BindPlane(plane.get());
   }
 
-  // One control-loop turn: socket events, then a drain, then a tick.
+  // One control-loop turn: socket events, then a drain, then (when
+  // asked) a tick.
   void Turn(std::uint64_t now_ns, bool tick = false) {
     listener->PollOnce(0, now_ns);
     plane->DrainAll(now_ns);

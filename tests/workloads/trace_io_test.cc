@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "sim/machine/socket.h"
+#include "test_temp_path.h"
 #include "workloads/generators.h"
 
 namespace limoncello {
@@ -37,7 +38,7 @@ TEST(TraceIoTest, RoundTripInMemory) {
 }
 
 TEST(TraceIoTest, RoundTripThroughFile) {
-  const std::string path = ::testing::TempDir() + "/trace_test.bin";
+  const std::string path = TestTempPath("trace_test.bin");
   TraceWriter writer;
   for (const MemRef& ref : SampleRefs()) writer.Append(ref);
   ASSERT_TRUE(writer.WriteFile(path));

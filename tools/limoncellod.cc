@@ -554,8 +554,16 @@ int RunListen(const FlagParser& flags) {
       LIMONCELLO_LOG_ERROR("listener socket died; shutting down");
       break;
     }
+    // Drain on arrival: whatever this poll queued reaches its FSM now,
+    // under the same tick_ it would see at the tick boundary, so only
+    // the wait changes. Shards the poll left empty cost an atomic load.
+    plane.DrainAll(now_ns());
+    // The staleness fail-safe, retry backoff and journal stay on the
+    // tick clock. A decision drained between two ticks reaches the
+    // journal at the next one; a kill -9 before it restores the previous
+    // intent, re-asserts it on reconnect, and the FSM re-decides from
+    // fresh telemetry (DESIGN.md section 16).
     if (Clock::now() >= next_tick) {
-      plane.DrainAll(now_ns());
       plane.AdvanceTick();
       journal.AppendDirty();
       ++ticks_run;
