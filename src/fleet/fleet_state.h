@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <new>
 
+#include "fleet/demand_model.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -92,6 +93,7 @@ struct FleetSlicePlan {
 
 // The hot per-machine state arrays. One instance per fleet; standalone
 // MachineModels (tests, figure tools) own a private single-slot instance.
+// Machines that share an instance must share a platform.
 // limolint:hot-struct — per-tick state must stay in AlignedArrays; a
 // std::vector member here would reintroduce the pointer chase and the
 // false sharing this type exists to remove.
@@ -124,6 +126,11 @@ struct FleetState {
   // written after each daemon tick so readers never chase the daemon.
   AlignedArray<std::uint64_t> controller_state;
   AlignedArray<Rng> rng;
+  // Cold: one row per service placed on these machines, read by every
+  // tick and written only by MachineModel::AddTask in serial phases (the
+  // thread contract is in demand_model.h). Never process-global: each
+  // FleetState, so each concurrently running fleet arm, has its own.
+  ServiceDemandTable demand;
 };
 
 }  // namespace limoncello

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fleet/demand_model.h"
 #include "util/check.h"
 
 namespace limoncello {
@@ -168,30 +169,12 @@ void MachineModel::RestartDaemon() {
 void MachineModel::AddTask(const Task& task) {
   LIMONCELLO_CHECK(task.spec != nullptr);
   LIMONCELLO_CHECK_GT(task.share, 0.0);
+  state_->demand.AddService(*task.spec, task.service_index,
+                            platform_.prefetch);
   tasks_.push_back(task);
 }
 
 void MachineModel::ClearTasks() { tasks_.clear(); }
-
-void MachineModel::CategoryMissModel(int category, double base_misses,
-                                     CategoryLoad* out) const {
-  const PrefetchResponse& r = platform_.prefetch;
-  const bool tax = category != kNonTaxCategoryIndex;
-  double misses = base_misses;
-  if (prefetchers_on()) {
-    const double coverage =
-        tax ? r.hw_coverage_tax : r.hw_coverage_nontax;
-    const double covered = misses * coverage;
-    misses -= covered;
-    if (!tax) misses *= r.hw_pollution_nontax;
-    out->hw_covered += covered;
-  } else if (soft_prefetch_on_ && tax) {
-    const double covered = misses * r.sw_coverage_tax;
-    misses -= covered;
-    out->sw_covered += covered;
-  }
-  out->misses += misses;
-}
 
 double MachineModel::EstimateCpuCost(const ServiceSpec& spec,
                                      double share) const {
@@ -288,19 +271,19 @@ MachineModel::TickResult MachineModel::Tick(
   result.prefetchers_on = prefetchers_on();
 
   // 2. Demand model: one pass over the tasks reduces the whole machine
-  // to a handful of scalar coefficients. Per-task demand at an assumed
-  // utilization u factors as
-  //   required_cores(u) = cores_base + cores_miss * penalty(u)
-  //   bytes(u)          = bytes_at_full * scale(u)
-  // where penalty(u) = L(u) * freq / mlp is the only u-dependent term,
-  // so the fixed-point bisection below runs on pure scalars instead of
-  // re-walking the task list ~21 times (the old per-task scratch vector
-  // — and its per-tick allocation — is gone entirely).
-  const PrefetchResponse& pr = platform_.prefetch;
+  // to three scalar coefficients (DemandScalars, demand_model.h), so the
+  // operating-point solve below runs on pure scalars. Only a task's
+  // instruction rate depends on load; its service's per-kilo-instruction
+  // misses and traffic under this tick's prefetch regime come from the
+  // demand table this machine's FleetState shares (computed once per
+  // service, with the same arithmetic this loop used to repeat).
+  const ServiceDemandTable& demand_table = state_->demand;
+  const PrefetchRegime regime =
+      prefetchers_on()    ? PrefetchRegime::kHardware
+      : soft_prefetch_on_ ? PrefetchRegime::kSoftware
+                          : PrefetchRegime::kNone;
   double offered_total = 0.0;
-  double cores_base = 0.0;   // Σ instr_rate * base_cpi / (freq_hz)
-  double cores_miss = 0.0;   // Σ instr_rate * mpki_eff / 1000 / freq_hz
-  double bytes_at_full = 0.0;
+  DemandScalars demand;
   // Per-category instruction and miss rates (for the cycle accounting).
   std::array<double, kNumCategories> cat_instr{};
   std::array<double, kNumCategories> cat_miss{};
@@ -309,83 +292,38 @@ MachineModel::TickResult MachineModel::Tick(
         task.service_index < static_cast<int>(load_factors.size())
             ? load_factors[static_cast<std::size_t>(task.service_index)]
             : 1.0;
-    const double offered = task.spec->nominal_qps * task.share * factor;
-    const double instr_rate =
-        offered * task.spec->instructions_per_request;
+    const ServiceSpec& spec = *task.spec;
+    const DemandCoefficients& k =
+        demand_table.Find(task.spec, task.service_index)
+            .by_regime[static_cast<std::size_t>(regime)];
+    const double offered = spec.nominal_qps * task.share * factor;
+    const double instr_rate = offered * spec.instructions_per_request;
     offered_total += offered;
-    double mpki_eff = 0.0;
-    double traffic_per_kinstr = 0.0;
-    for (int c = 0; c < kNumCategories; ++c) {
-      const std::size_t ci = static_cast<std::size_t>(c);
-      const double mix = task.spec->category_mix[ci];
-      CategoryLoad cat;
-      cat.instructions = mix;  // per-instruction weight
-      CategoryMissModel(c, task.spec->base_mpki * mix, &cat);
-      const bool tax = c != kNonTaxCategoryIndex;
-      mpki_eff += cat.misses;
-      traffic_per_kinstr +=
-          cat.misses +
-          cat.hw_covered /
-              (tax ? pr.hw_accuracy_tax : pr.hw_accuracy_nontax) +
-          cat.sw_covered / pr.sw_accuracy;
-      cat_instr[ci] += instr_rate * cat.instructions;
-      cat_miss[ci] += instr_rate * cat.misses / 1000.0;
+    for (std::size_t ci = 0; ci < kNumCategories; ++ci) {
+      cat_instr[ci] += instr_rate * spec.category_mix[ci];
+      // "/ 1000.0", not "* 0.001": the two round differently.
+      cat_miss[ci] += instr_rate * k.misses[ci] / 1000.0;
     }
     const double core_rate = instr_rate / (platform_.freq_ghz * 1e9);
-    cores_base += core_rate * platform_.base_cpi;
-    cores_miss += core_rate * mpki_eff / 1000.0;
-    bytes_at_full += instr_rate * traffic_per_kinstr / 1000.0 *
-                     static_cast<double>(kCacheLineBytes);
+    demand.cores_base += core_rate * platform_.base_cpi;
+    demand.cores_miss += core_rate * k.mpki_eff / 1000.0;
+    demand.bytes_at_full += instr_rate * k.traffic_per_kinstr / 1000.0 *
+                            static_cast<double>(kCacheLineBytes);
   }
 
   // 3. Fixed point: latency depends on utilization, utilization depends
   // on served work, served work depends on latency (via CPI). The map
   // u -> utilization(latency(u)) is monotone decreasing, so the
-  // self-consistent operating point is found by bisection (damped
-  // iteration oscillates on the steep part of the curve).
+  // self-consistent operating point is the answer of a 20-step bisection
+  // (damped iteration oscillates on the steep part of the curve).
+  // SolveOperatingPoint returns that answer bit for bit while evaluating
+  // the map at a handful of points instead of 22.
+  const OperatingPoint op = SolveOperatingPoint(demand, platform_, *lut_);
   const double cores = static_cast<double>(platform_.cores);
   const double saturation_bytes = platform_.saturation_gbps * 1e9;
-  // Memory-bandwidth ceiling: the qualification threshold is a derated
-  // operating point, not the physical channel limit — sockets can burst
-  // well past it (at terrible latency) before throughput hard-caps. The
-  // ceiling equals the latency LUT's domain bound by construction.
-  const double max_ratio = LatencyLut::kMaxUtilization;
-
-  double required_cores = 0.0;
-  double scale = 1.0;
-  double total_bytes = 0.0;
-  // Evaluates served load and traffic at the given assumed utilization;
-  // returns the utilization that load would actually generate.
-  const auto evaluate = [&](double u_assumed) {
-    const double penalty =
-        lut_->At(u_assumed) * platform_.freq_ghz / platform_.mlp;
-    required_cores = cores_base + cores_miss * penalty;
-    scale = required_cores > cores ? cores / required_cores : 1.0;
-    total_bytes = bytes_at_full * scale;
-    if (total_bytes > saturation_bytes * max_ratio) {
-      scale *= saturation_bytes * max_ratio / total_bytes;
-      total_bytes = saturation_bytes * max_ratio;
-    }
-    return total_bytes / saturation_bytes;
-  };
-
-  double lo = 0.0;
-  double hi = max_ratio;
-  if (evaluate(lo) <= lo) {
-    hi = lo;  // idle machine: fixed point at zero
-  } else {
-    for (int iter = 0; iter < 20; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (evaluate(mid) > mid) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-  }
-  const double u_star = hi;
-  (void)evaluate(u_star);  // leave scale/total_bytes at the solution
-  const double latency_ns = lut_->At(u_star);
+  const double scale = op.scale;
+  const double total_bytes = op.total_bytes;
+  const double latency_ns = lut_->At(op.utilization);
   result.latency_ns = latency_ns;
   const double miss_penalty_cycles =
       latency_ns * platform_.freq_ghz / platform_.mlp;
@@ -401,7 +339,7 @@ MachineModel::TickResult MachineModel::Tick(
         scale * (cat_instr[ci] * platform_.base_cpi +
                  cat_miss[ci] * miss_penalty_cycles);
   }
-  const double busy_cores = std::min(required_cores * scale, cores);
+  const double busy_cores = std::min(op.required_cores * scale, cores);
   result.cpu_utilization = busy_cores / cores;
   result.bandwidth_gbps = total_bytes / 1e9;
   result.bandwidth_utilization = total_bytes / saturation_bytes;

@@ -18,7 +18,9 @@
 // machine's slot. A machine constructed without a FleetState owns a
 // private single-slot instance, so standalone use (tests, figure tools)
 // is unchanged; fleets pass one shared FleetState so 100k machines' hot
-// state packs into contiguous cache-line-aligned arrays.
+// state packs into contiguous cache-line-aligned arrays. The FleetState
+// also carries the per-service demand table (demand_model.h), so a fleet
+// derives each service's load-independent coefficients once.
 #ifndef LIMONCELLO_FLEET_MACHINE_MODEL_H_
 #define LIMONCELLO_FLEET_MACHINE_MODEL_H_
 
@@ -127,6 +129,12 @@ class MachineModel {
   MachineModel(const MachineModel&) = delete;
   MachineModel& operator=(const MachineModel&) = delete;
 
+  // Adds a task. The first task of a service on this machine's
+  // FleetState also adds the service's row to the FleetState's demand
+  // table (demand_model.h), which every machine on it reads while it
+  // ticks. So AddTask must not run while another machine on the same
+  // FleetState ticks: FleetSimulator calls it (and ClearTasks) only in
+  // its serial phases, placement and Rebalance between epochs.
   void AddTask(const Task& task);
   void ClearTasks();
   const std::vector<Task>& tasks() const { return tasks_; }
@@ -165,18 +173,6 @@ class MachineModel {
    private:
     MachineModel* machine_;
   };
-
-  struct CategoryLoad {
-    double instructions = 0.0;
-    double misses = 0.0;        // after coverage effects
-    double hw_covered = 0.0;    // misses covered by HW prefetch
-    double sw_covered = 0.0;    // misses covered by SW prefetch
-  };
-
-  // Effective per-category miss multiplier given the current prefetcher
-  // state and deployment mode.
-  void CategoryMissModel(int category, double base_misses,
-                         CategoryLoad* out) const;
 
   // Rebuilds the daemon after a restart window closes: fresh process
   // state, warm restore from the in-memory snapshot when one exists,

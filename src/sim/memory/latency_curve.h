@@ -31,15 +31,23 @@ struct LatencyCurveConfig {
 double LatencyAtUtilization(const LatencyCurveConfig& config,
                             double utilization);
 
-// Tabulated form of the curve for hot loops: the fleet model's bisection
-// evaluates the curve ~21 times per machine-tick, and the exact form pays
-// a std::pow each call. The table holds the exact curve at 2048 evenly
-// spaced points over [0, kMaxUtilization] and interpolates linearly in
-// between — a pure function of the config, shared per fleet, and fully
-// deterministic (same table, same inputs, same bits at any thread count).
-// The ~0.03 % interpolation error is far below the model's own fidelity;
-// what matters for the repo's contracts is monotonicity (preserved: linear
-// interpolation of a monotone sample set) and determinism.
+// Tabulated form of the curve for hot loops: the fleet model's operating-
+// point solve evaluates the curve a few times per machine-tick, and the
+// exact form pays a std::pow each call. The table holds the exact curve
+// at 2048 evenly spaced points over [0, kMaxUtilization] and interpolates
+// linearly in between — a pure function of the config, shared per fleet,
+// and fully deterministic (same table, same inputs, same bits at any
+// thread count). The ~0.03 % interpolation error is far below the model's
+// own fidelity.
+//
+// Monotonicity in floating point is load-bearing: At is non-decreasing in
+// `utilization`, and the fleet's SolveOperatingPoint (fleet/
+// demand_model.h) skips bisection steps on the strength of it. It holds
+// because the table is non-decreasing, `utilization * inv_step_` and
+// `lo + frac * (hi - lo)` are monotone under round-to-nearest, and
+// adjacent entries differ by less than 2x, so `hi - lo` is exact and the
+// value just below a cell boundary never exceeds the entry at it
+// (LatencyLutTest pins this).
 class LatencyLut {
  public:
   // Table intervals and domain. The domain upper bound matches the fleet

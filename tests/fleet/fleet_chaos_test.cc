@@ -5,6 +5,12 @@
 // — the determinism contract extends to fault injection.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <ostream>
+
 #include "fleet/fleet_simulator.h"
 
 namespace limoncello {
@@ -245,6 +251,127 @@ TEST(FleetGoldenTest, ChaosFullLimoncelloFleetIsPinned) {
       PlatformConfig::Platform1(), DeploymentMode::kFullLimoncello,
       ChaosController(), GoldenFleet(true));
   ExpectGolden(m, {140, 7049, 35, 19, 19, 32, 1, 132, 132, 192, 32});
+}
+
+// Golden: the fleet model's floating-point outputs, as bit patterns, for
+// the same 24-machine fleet in the baseline and full-Limoncello arms,
+// plain and under ChaosSpec(). The integer goldens above cannot see a
+// change to the model's arithmetic, and fleet_parallel_test compares two
+// runs of one build; these move with any bit of it. `machines` is FNV-1a
+// over every machine's cpu_utilization_sum then bw_utilization_sum, the
+// per-machine sums perfbench's fleet digest folds in. Values recorded at
+// commit 94a054e, before the per-service demand table and the bracketed
+// operating-point solve.
+struct FleetFloatGolden {
+  std::uint64_t served_qps_sum;
+  std::uint64_t offered_qps_sum;
+  std::array<std::uint64_t, kNumCategories> category_cycles;
+  // Mean then p99 of bandwidth_gbps, bandwidth_utilization, latency_ns.
+  std::array<std::uint64_t, 6> histograms;
+  std::uint64_t machines;
+
+  bool operator==(const FleetFloatGolden&) const = default;
+};
+
+// Prints a golden as the initializer that pins it, so a failure shows
+// both sides in hex and a deliberate re-pin can copy the actual value.
+void PrintTo(const FleetFloatGolden& g, std::ostream* os) {
+  char buf[32];
+  const auto hex = [&](std::uint64_t v) {
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+  };
+  *os << "{" << hex(g.served_qps_sum) << ", " << hex(g.offered_qps_sum)
+      << ", {";
+  for (std::size_t i = 0; i < g.category_cycles.size(); ++i) {
+    *os << (i ? ", " : "") << hex(g.category_cycles[i]);
+  }
+  *os << "}, {";
+  for (std::size_t i = 0; i < g.histograms.size(); ++i) {
+    *os << (i ? ", " : "") << hex(g.histograms[i]);
+  }
+  *os << "}, " << hex(g.machines) << "}";
+}
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+FleetFloatGolden FloatsOf(const FleetMetrics& m) {
+  FleetFloatGolden g{};
+  g.served_qps_sum = Bits(m.served_qps_sum);
+  g.offered_qps_sum = Bits(m.offered_qps_sum);
+  for (std::size_t c = 0; c < g.category_cycles.size(); ++c) {
+    g.category_cycles[c] = Bits(m.category_cycles[c]);
+  }
+  std::size_t i = 0;
+  for (const Histogram* h :
+       {&m.bandwidth_gbps, &m.bandwidth_utilization, &m.latency_ns}) {
+    g.histograms[i++] = Bits(h->Mean());
+    g.histograms[i++] = Bits(h->Percentile(99.0));
+  }
+  g.machines = 0xcbf29ce484222325ULL;
+  for (const MachineAggregate& a : m.machines) {
+    g.machines = Fnv1a(g.machines, Bits(a.cpu_utilization_sum));
+    g.machines = Fnv1a(g.machines, Bits(a.bw_utilization_sum));
+  }
+  return g;
+}
+
+FleetMetrics RunGoldenArm(DeploymentMode mode, bool chaos) {
+  return RunFleetArm(PlatformConfig::Platform1(), mode, ChaosController(),
+                     GoldenFleet(chaos));
+}
+
+TEST(FleetGoldenTest, PlainBaselineFloatsArePinned) {
+  EXPECT_EQ(
+      FloatsOf(RunGoldenArm(DeploymentMode::kBaseline, false)),
+      (FleetFloatGolden{0x41a686e0fb3b2168, 0x41a9eba23c54d4ed,
+       {0x42c1dd060cb9e8f8, 0x42c57ef8f0418cc6, 0x42b615ec045eb760,
+        0x42caab6c07113604, 0x4309c30fbedd32aa},
+       {0x40596cae833718d9, 0x405cd1f88e6dd48f, 0x3feac33e6f2c85f7,
+        0x3fee564901b6fab2, 0x40693a5a05b3a802, 0x407442113c28edbd},
+       0x830ab296de266c7b}));
+}
+
+TEST(FleetGoldenTest, ChaosBaselineFloatsArePinned) {
+  EXPECT_EQ(
+      FloatsOf(RunGoldenArm(DeploymentMode::kBaseline, true)),
+      (FleetFloatGolden{0x41a5b8ce3210691c, 0x41a9eba23c54d4f1,
+       {0x42c0a4c62fce1c30, 0x42c41027931633d6, 0x42b4877e00d919b3,
+        0x42c8ded652d96c57, 0x43077d41baa08434},
+       {0x4058cde90b310487, 0x405cd18cf6351e2f, 0x3fea1c1dbaf03aaa,
+        0x3fee55d7bfcc1fc6, 0x40678d5450ddd6bf, 0x407442113c28edbd},
+       0x3bbef4f8f4c60ebf}));
+}
+
+TEST(FleetGoldenTest, PlainFullLimoncelloFloatsArePinned) {
+  EXPECT_EQ(
+      FloatsOf(RunGoldenArm(DeploymentMode::kFullLimoncello, false)),
+      (FleetFloatGolden{0x41a906fe70934a96, 0x41a9eba23c54d4f1,
+       {0x42c3522d9bcd0b3f, 0x42c763ad591a9936, 0x42b7f23a54ace4cb,
+        0x42ccec25ab11f7b0, 0x4303d872885eb3c0},
+       {0x4056abf4cbfdce52, 0x405c670c6a03e28f, 0x3fe7dd6d78697ae1,
+        0x3feda9a03f336898, 0x40605f4b4cdd2cf8, 0x406d77b23447b5a7},
+       0xd0746be971167ad6}));
+}
+
+TEST(FleetGoldenTest, ChaosFullLimoncelloFloatsArePinned) {
+  EXPECT_EQ(
+      FloatsOf(RunGoldenArm(DeploymentMode::kFullLimoncello, true)),
+      (FleetFloatGolden{0x41a864b150162fc7, 0x41a9eba23c54d4f6,
+       {0x42c2be3e789c9e4e, 0x42c69627c27c19e5, 0x42b723f336ee6352,
+        0x42cbf9f9c73f1380, 0x4303897d4763aac7},
+       {0x4056b31facd455fb, 0x405cd1f88e6dd48f, 0x3fe7e4f8ebd209ae,
+        0x3fee417f9c9ff4e6, 0x4060ad0350bcf5b6, 0x40731582902da41d},
+       0x8f2920abc9e1a952}));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "fleet/platform.h"
+
 namespace limoncello {
 namespace {
 
@@ -61,6 +63,43 @@ TEST(LatencyCurveTest, QueueCoefficientScalesQueuingOnly) {
   const double qa = LatencyAtUtilization(a, 0.8) - a.unloaded_ns;
   const double qb = LatencyAtUtilization(b, 0.8) - b.unloaded_ns;
   EXPECT_NEAR(qb, 2.0 * qa, 1e-9);
+}
+
+// The fleet's operating-point solver skips bisection steps on the
+// strength of LatencyLut::At being non-decreasing in floating point, so
+// pin that for both platforms' curves: along a dense sweep, and one ulp
+// at a time across every cell boundary (where the interpolation switches
+// table entries and a rounding slip would show). Linear interpolation
+// stays monotone there only if each hi - lo is exact, which holds while
+// adjacent entries differ by less than 2x.
+TEST(LatencyLutTest, NonDecreasingAcrossEveryCellBoundary) {
+  for (const LatencyCurveConfig& config :
+       {PlatformConfig::Platform1().latency,
+        PlatformConfig::Platform2().latency}) {
+    const LatencyLut lut(config);
+    constexpr int kPoints = LatencyLut::kPoints;
+    const double step = LatencyLut::kMaxUtilization / kPoints;
+    double prev = lut.At(0.0);
+    for (int j = 1; j <= 8 * kPoints + 64; ++j) {
+      const double at = lut.At(j * step / 8);
+      ASSERT_LE(prev, at) << "u=" << j * step / 8;
+      prev = at;
+    }
+    for (int i = 1; i <= kPoints; ++i) {
+      // Start a few ulps below the boundary and walk past it.
+      double u = i * step;
+      for (int k = 0; k < 4; ++k) u = std::nextafter(u, 0.0);
+      double below = lut.At(u);
+      for (int k = 0; k < 8; ++k) {
+        const double next_u = std::nextafter(u, 2.0);
+        const double at = lut.At(next_u);
+        ASSERT_LE(below, at) << "boundary " << i << ", u=" << next_u;
+        below = at;
+        u = next_u;
+      }
+      ASSERT_LT(lut.At(i * step), 2.0 * lut.At((i - 1) * step));
+    }
+  }
 }
 
 // Latency-curve shape across a parameter sweep: the curve knee must stay
