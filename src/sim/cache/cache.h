@@ -8,9 +8,13 @@
 // Hot-path layout (DESIGN.md §9): one contiguous set-major array
 // (`set * ways + way`) of single 64-bit words, each packing a way's tag,
 // status bits, rrpv, and an exact LRU recency *rank* — instead of a
-// vector-of-vectors of 24-byte line structs. An 8-way set is exactly one
-// 64-byte host cache line (a 16-way set two), there is no pointer chase,
-// and an access touches those words and nothing else: the rank (a
+// vector-of-vectors of 24-byte line structs. An 8-way set is 64 bytes (a
+// 16-way set 128), but the array is not aligned to host lines: in a
+// perfbench-shaped socket the L2 and LLC arrays start 16 bytes past a
+// line boundary, so such a set spans one host line more than its size
+// (aligning the arrays, with a single-pass scan, measured no gain).
+// There is no pointer chase, and an access touches those words and
+// nothing else: the rank (a
 // permutation of 0..ways-1 inside the set) replaces the original global
 // 64-bit timestamp, selecting the identical victim without a second
 // recency array and its extra cache miss per access. Because presence is

@@ -207,7 +207,7 @@ Socket::BelowL1Result Socket::AccessBelowL1(
 
   if (l2_hit) {
     result.penalty_cycles = config_.l2_hit_cycles;
-    if (covered) result.penalty_cycles += LatePrefetchPenaltyCycles();
+    if (covered) result.penalty_cycles += late_penalty_cycles_;
     core.l1->FillAt(l1_probe, line, /*is_prefetch=*/false,
                     /*dirty=*/is_store);
   } else {
@@ -217,7 +217,7 @@ Socket::BelowL1Result Socket::AccessBelowL1(
     if (llc_hit) {
       ++counters_.llc_demand_hits;
       result.penalty_cycles = config_.llc_hit_cycles;
-      if (covered) result.penalty_cycles += LatePrefetchPenaltyCycles();
+      if (covered) result.penalty_cycles += late_penalty_cycles_;
     } else {
       ++counters_.llc_demand_misses;
       result.llc_miss = true;
@@ -285,7 +285,7 @@ double Socket::ProcessAccess(CoreState& core, const MemRef& ref) {
 
     if (l1_hit) {
       if (l1_covered) {
-        double penalty = LatePrefetchPenaltyCycles() / config_.mlp;
+        double penalty = late_penalty_per_mlp_cycles_;
         if (is_store) penalty *= config_.store_penalty_factor;
         cycles += penalty;
       }
@@ -311,6 +311,8 @@ double Socket::ProcessAccess(CoreState& core, const MemRef& ref) {
 void Socket::Step(SimTimeNs epoch_ns) {
   LIMONCELLO_CHECK_GT(epoch_ns, 0);
   memory_.BeginEpoch(epoch_ns);
+  late_penalty_cycles_ = LatePrefetchPenaltyCycles();
+  late_penalty_per_mlp_cycles_ = late_penalty_cycles_ / config_.mlp;
   const double budget =
       static_cast<double>(epoch_ns) * cycles_per_ns_;
   for (CoreState& core : cores_) {

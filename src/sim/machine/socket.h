@@ -4,10 +4,12 @@
 //
 // The socket advances in fixed epochs. Within an epoch every core executes
 // its access trace against the cache hierarchy; misses charge memory
-// latency from the controller's bandwidth-dependent curve. Writing the
-// platform's prefetch-control MSR (msr_device()) enables/disables the
-// per-core prefetch engines — the exact actuation path Hard Limoncello
-// exercises.
+// latency from the controller's bandwidth-dependent curve. That latency,
+// and the late-prefetch penalty on covered hits, are fixed within an
+// epoch (the controller's EndEpoch is their only writer), so each is
+// evaluated once per epoch, not per access. Writing the platform's
+// prefetch-control MSR (msr_device()) enables/disables the per-core
+// prefetch engines — the exact actuation path Hard Limoncello exercises.
 #ifndef LIMONCELLO_SIM_MACHINE_SOCKET_H_
 #define LIMONCELLO_SIM_MACHINE_SOCKET_H_
 
@@ -204,7 +206,11 @@ class Socket {
   // Handles an eviction from the LLC (dirty lines write back to memory).
   void OnLlcEviction(const Cache::Eviction& eviction);
 
-  // Residual latency charged on prefetch-covered hits at high load.
+  // Residual latency charged on prefetch-covered hits at high load. Fixed
+  // within an epoch: it reads only the memory controller's smoothed
+  // utilization and current latency, whose only writer is
+  // MemoryController::EndEpoch, so Step evaluates it once per epoch, right
+  // after BeginEpoch, into late_penalty_cycles_.
   double LatePrefetchPenaltyCycles() const;
 
   void ApplyMsrWrite(int cpu, MsrRegister reg, std::uint64_t value);
@@ -222,6 +228,11 @@ class Socket {
   MemoryController::EpochStats last_epoch_;
   SimTimeNs now_ = 0;
   double cycles_per_ns_ = 0.0;
+  // This epoch's LatePrefetchPenaltyCycles(), charged on covered L2 and
+  // LLC hits, and the same divided by mlp, charged (before the store
+  // factor) on covered L1 hits. Set by Step; read only inside it.
+  double late_penalty_cycles_ = 0.0;
+  double late_penalty_per_mlp_cycles_ = 0.0;
 };
 
 }  // namespace limoncello

@@ -8,6 +8,14 @@ MemoryController::MemoryController(const MemoryControllerConfig& config,
   LIMONCELLO_CHECK_GT(config_.peak_gbps, 0.0);
   LIMONCELLO_CHECK_GE(config_.utilization_alpha, 0.0);
   LIMONCELLO_CHECK_LE(config_.utilization_alpha, 1.0);
+  current_latency_ns_ = LatencyAtSmoothedState();
+}
+
+double MemoryController::LatencyAtSmoothedState() const {
+  return LatencyAtUtilization(
+      config_.latency,
+      utilization_ewma_ *
+          (1.0 + config_.prefetch_burst_penalty * prefetch_share_ewma_));
 }
 
 void MemoryController::BeginEpoch(SimTimeNs epoch_ns) {
@@ -25,7 +33,7 @@ double MemoryController::Access(TrafficClass traffic) {
   totals_.bytes[cls] += kCacheLineBytes;
   if (traffic == TrafficClass::kWriteback) return 0.0;
 
-  double latency = CurrentLatencyNs();
+  double latency = current_latency_ns_;
   if (config_.jitter_fraction > 0.0) {
     latency *= 1.0 + config_.jitter_fraction * (2.0 * rng_.NextDouble() - 1.0);
   }
@@ -56,6 +64,7 @@ MemoryController::EpochStats MemoryController::EndEpoch() {
             : 0.0;
   prefetch_share_ewma_ +=
       config_.utilization_alpha * (share - prefetch_share_ewma_);
+  current_latency_ns_ = LatencyAtSmoothedState();
   return epoch_;
 }
 

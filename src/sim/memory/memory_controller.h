@@ -3,9 +3,12 @@
 // The controller operates in fixed epochs. Within an epoch, request latency
 // is computed from a smoothed utilization estimate carried over from prior
 // epochs (one-epoch feedback lag, EWMA-smoothed), which mimics how real
-// queuing delay reflects recent arrival rates. Demand, hardware-prefetch,
-// software-prefetch, and writeback traffic are accounted separately so
-// that experiments can report the prefetcher share of bandwidth.
+// queuing delay reflects recent arrival rates. That estimate changes only
+// in EndEpoch, so the latency is evaluated there, once per epoch, and
+// every request of the next epoch is charged it (plus its own jitter).
+// Demand, hardware-prefetch, software-prefetch, and writeback traffic are
+// accounted separately so that experiments can report the prefetcher
+// share of bandwidth.
 #ifndef LIMONCELLO_SIM_MEMORY_MEMORY_CONTROLLER_H_
 #define LIMONCELLO_SIM_MEMORY_MEMORY_CONTROLLER_H_
 
@@ -87,14 +90,13 @@ class MemoryController {
   // Smoothed share of traffic that is hardware prefetch.
   double SmoothedPrefetchShare() const { return prefetch_share_ewma_; }
 
-  // Latency the controller would charge right now, including the
-  // burstiness penalty for prefetch-heavy mixes.
-  double CurrentLatencyNs() const {
-    const double effective =
-        utilization_ewma_ *
-        (1.0 + config_.prefetch_burst_penalty * prefetch_share_ewma_);
-    return LatencyAtUtilization(config_.latency, effective);
-  }
+  // Latency the controller charges each request of the current epoch
+  // before jitter, including the burstiness penalty for prefetch-heavy
+  // mixes. Fixed within an epoch: it is the curve at the smoothed
+  // utilization and prefetch share, whose only writer is EndEpoch, so it
+  // is computed there (and in the constructor, where it is the unloaded
+  // latency), not per request.
+  double CurrentLatencyNs() const { return current_latency_ns_; }
 
   const Totals& totals() const { return totals_; }
   const MemoryControllerConfig& config() const { return config_; }
@@ -103,10 +105,14 @@ class MemoryController {
   double PeakBytesPerNs() const { return config_.peak_gbps; }
 
  private:
+  // The curve at the smoothed state, which sets current_latency_ns_.
+  double LatencyAtSmoothedState() const;
+
   MemoryControllerConfig config_;
   Rng rng_;
   double utilization_ewma_ = 0.0;
   double prefetch_share_ewma_ = 0.0;
+  double current_latency_ns_ = 0.0;
   SimTimeNs epoch_ns_ = 0;
   bool in_epoch_ = false;
   EpochStats epoch_;

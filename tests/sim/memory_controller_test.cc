@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "sim/memory/latency_curve.h"
+#include "util/rng.h"
+
 namespace limoncello {
 namespace {
 
@@ -106,6 +112,48 @@ TEST(MemoryControllerTest, JitterBoundedAndDeterministic) {
   }
   a.EndEpoch();
   b.EndEpoch();
+}
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// The charged latency is a per-epoch constant, because EndEpoch is the
+// only writer of the smoothed state it is computed from. Every request in
+// an epoch is charged the same value, and CurrentLatencyNs() is the curve
+// at the smoothed utilization lifted by the burst penalty, bit for bit,
+// before the first epoch and after every EndEpoch. The rates reach past
+// saturation (the curve's clamp) and the prefetch share varies.
+TEST(MemoryControllerTest, LatencyIsFixedWithinAnEpoch) {
+  const MemoryControllerConfig config = TestConfig();
+  MemoryController mc(config, Rng(1));
+  const auto formula = [&] {
+    return LatencyAtUtilization(
+        config.latency, mc.SmoothedUtilization() *
+                            (1.0 + config.prefetch_burst_penalty *
+                                       mc.SmoothedPrefetchShare()));
+  };
+  Rng rng(5);
+  for (int epoch = 0; epoch < 30; ++epoch) {
+    ASSERT_EQ(Bits(mc.CurrentLatencyNs()), Bits(formula())) << epoch;
+    const double charged = mc.CurrentLatencyNs();
+    mc.BeginEpoch(1000);  // capacity 10'000 bytes, ~156 lines
+    // 0 to ~1.4x capacity; 0 to 90 % of the reads are hardware prefetch.
+    const std::uint64_t lines = rng.NextBounded(220);
+    const double prefetch_share = 0.9 * rng.NextDouble();
+    for (std::uint64_t i = 0; i < lines; ++i) {
+      const bool writeback = rng.NextBernoulli(0.2);
+      const TrafficClass traffic =
+          writeback ? TrafficClass::kWriteback
+          : rng.NextBernoulli(prefetch_share) ? TrafficClass::kHwPrefetch
+                                              : TrafficClass::kDemand;
+      const double latency = mc.Access(traffic);
+      ASSERT_EQ(Bits(latency), Bits(writeback ? 0.0 : charged))
+          << "epoch " << epoch << " request " << i;
+    }
+    ASSERT_EQ(Bits(mc.CurrentLatencyNs()), Bits(charged)) << epoch;
+    mc.EndEpoch();
+  }
+  EXPECT_EQ(Bits(mc.CurrentLatencyNs()), Bits(formula()));
+  EXPECT_GT(mc.CurrentLatencyNs(), config.latency.unloaded_ns);
 }
 
 TEST(MemoryControllerDeathTest, EndWithoutBeginAborts) {

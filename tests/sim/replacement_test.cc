@@ -5,6 +5,7 @@
 
 #include <list>
 #include <map>
+#include <ostream>
 
 #include "sim/cache/cache.h"
 #include "util/rng.h"
@@ -39,20 +40,34 @@ class ReferenceLru {
   std::map<std::uint64_t, std::list<Addr>> state_;
 };
 
-class LruReferenceTest : public ::testing::TestWithParam<std::uint64_t> {};
+// One trace against one associativity. The sets stay at 64, so the 8-
+// and 16-way cases run the socket's set shapes (one and two 8-way
+// AVX-512 compares; 4 ways take the masked tail).
+struct LruCase {
+  int ways;
+  std::uint64_t seed;
+};
+
+// Prints the seed only: the instantiation name carries the associativity.
+void PrintTo(const LruCase& c, std::ostream* os) { *os << c.seed; }
+
+class LruReferenceTest : public ::testing::TestWithParam<LruCase> {};
 
 TEST_P(LruReferenceTest, MatchesBruteForceModelOnRandomTrace) {
+  const LruCase& c = GetParam();
+  const std::uint64_t lines = 64 * static_cast<std::uint64_t>(c.ways);
   CacheConfig config;
-  config.size_bytes = 16 * kKiB;  // 256 lines
-  config.ways = 4;                // 64 sets
+  config.size_bytes = lines * kCacheLineBytes;  // 64 sets
+  config.ways = c.ways;
   Cache cache(config, "dut");
+  ASSERT_EQ(cache.num_sets(), 64u);
   ReferenceLru reference(cache.num_sets(), config.ways);
 
-  Rng rng(GetParam());
+  Rng rng(c.seed);
   for (int i = 0; i < 50000; ++i) {
-    // Skewed address distribution: hot region + cold tail, to exercise
-    // both hits and evictions heavily.
-    const Addr line = rng.NextBernoulli(0.7) ? rng.NextBounded(512)
+    // Skewed address distribution: hot region (twice the cache) + cold
+    // tail, to exercise both hits and evictions heavily.
+    const Addr line = rng.NextBernoulli(0.7) ? rng.NextBounded(2 * lines)
                                              : rng.NextBounded(1 << 16);
     const bool expected = reference.Access(line);
     const bool actual = cache.LookupDemand(line, false);
@@ -62,7 +77,15 @@ TEST_P(LruReferenceTest, MatchesBruteForceModelOnRandomTrace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruReferenceTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
+                         ::testing::Values(LruCase{4, 1}, LruCase{4, 2},
+                                           LruCase{4, 3}, LruCase{4, 4},
+                                           LruCase{4, 5}));
+INSTANTIATE_TEST_SUITE_P(Ways8Seeds, LruReferenceTest,
+                         ::testing::Values(LruCase{8, 1}, LruCase{8, 2},
+                                           LruCase{8, 3}));
+INSTANTIATE_TEST_SUITE_P(Ways16Seeds, LruReferenceTest,
+                         ::testing::Values(LruCase{16, 1}, LruCase{16, 2},
+                                           LruCase{16, 3}));
 
 CacheConfig SmallConfig(ReplacementPolicy policy) {
   CacheConfig config;
